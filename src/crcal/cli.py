@@ -144,7 +144,10 @@ def cmd_recalibrate(args) -> int:
 def cmd_evaluate(args) -> int:
     cohort = _load_cohort(args.cohort, args.k_events)
     bundle = _load_bundle(args.bundle, args.k_events)
-    horizons = [float(h) for h in args.horizons.split(",")] if args.horizons else None
+    try:
+        horizons = [float(h) for h in args.horizons.split(",")] if args.horizons else None
+    except ValueError:
+        raise ValidationError(f"--horizons must be comma-separated numbers, got {args.horizons!r}") from None
     result = evaluate_bundle(cohort, bundle, horizons)
     _write(Path(args.out), result.to_json())
     _write(Path(args.out).with_suffix(".mean_incidence.csv"), mean_incidence_csv(bundle))

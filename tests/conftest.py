@@ -1,6 +1,20 @@
+import os
+from pathlib import Path
+
 import numpy as np
+from hypothesis import settings
 
 from crcal.data import CifBundle, Cohort, TimeGrid
+
+# property tests draw the same examples on every run and are never cut short
+# by wall-clock noise
+settings.register_profile("crcal", derandomize=True, deadline=None, database=None)
+settings.load_profile("crcal")
+
+# pytest puts src/ on its own sys.path (pyproject.toml); the CLI subprocesses
+# that acceptance 11 starts need it on PYTHONPATH as well
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 def make_cohort(times, events, k=None, ids=None):

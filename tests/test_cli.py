@@ -132,6 +132,22 @@ class TestRecalibrateAndEvaluate:
         assert set(ev) == {"c_index", "c_index_mean", "brier", "ibs"}
         assert (tmp_path / "eval.mean_incidence.csv").exists()
 
+    @pytest.mark.parametrize("horizons", ["abc", "1.0,", "nan", "inf", "-1", "0", "0.5,nan"])
+    def test_evaluate_rejects_bad_horizons(self, tmp_path, capsys, horizons):
+        self._setup(tmp_path)
+        code = run(
+            [
+                "evaluate",
+                "--cohort", tmp_path / "cohort.csv",
+                "--bundle", tmp_path / "oracle_bundle.csv",
+                "--horizons", horizons,
+                "--out", tmp_path / "eval.json",
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "eval.json").exists()
+
 
 class TestBench:
     def _config(self, tmp_path, model="oracle", n=400):

@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import make_bundle, make_cohort
 
 from crcal.curves import censoring_survival
 from crcal.data import CifBundle, TimeGrid
-from crcal.errors import NumericError
+from crcal.errors import NumericError, ValidationError
 from crcal.evaluate import (
     brier_score,
+    brier_scores,
     cr_c_index,
     default_horizons,
     evaluate_bundle,
@@ -44,6 +47,69 @@ def brute_force_c_index(cohort, bundle, k, tau, censoring):
             num += w * q
             den += w
     return num / den if den else math.nan
+
+
+def blocked_c_index(cohort, bundle, k, tau, censoring, block=256):
+    """Pairwise weights for blocks of cases against every sample:
+    O(cases * n) time and a block x n working set."""
+    times, events = cohort.times, cohort.events
+    g_left = censoring.at_left(times)
+    cases = np.flatnonzero((times <= tau) & (events == k))
+    if cases.size == 0:
+        return math.nan
+    preds = bundle.values_at(np.asarray([tau]))[:, k - 1, 0]
+    other = (events != 0) & (events != k)
+    numer = 0.0
+    denom = 0.0
+    for start in range(0, cases.size, block):
+        rows = cases[start:start + block]
+        t_i = times[rows][:, None]
+        g_i = g_left[rows][:, None]
+        a = (t_i < times[None, :]) | ((t_i == times[None, :]) & (events[None, :] == 0))
+        b = (t_i >= times[None, :]) & other[None, :]
+        w = a / (g_i * g_i) + np.where(b, 1.0, 0.0) / np.where(b, g_i * g_left[None, :], 1.0)
+        q = preds[rows][:, None] > preds[None, :]
+        numer += float((w * q).sum())
+        denom += float(w.sum())
+    if denom == 0.0:
+        return math.nan
+    return numer / denom
+
+
+def per_tau_brier(cohort, bundle, k, tau, censoring):
+    """IPCW Brier score of event k at one time, straight from the definition."""
+    times, events = cohort.times, cohort.events
+    g_left = censoring.at_left(times)
+    known = (times <= tau) & (events != 0)
+    later = times > tau
+    weights = np.where(known, 1.0, 0.0) / np.where(known, g_left, 1.0) + later / float(censoring.at(tau))
+    outcome = ((times <= tau) & (events == k)).astype(float)
+    preds = bundle.values_at(np.asarray([tau]))[:, k - 1, 0]
+    return float(np.mean(weights * (outcome - preds) ** 2))
+
+
+# few distinct values, so that times, censorings and predictions tie often
+TIMES = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
+TAUS = [0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+
+
+@st.composite
+def scored_cohorts(draw):
+    """A cohort with K in {1, 2, 3} and a bundle on the grid (1, 2, 3) whose
+    CIFs climb in steps of 0, 0.05 or 0.1."""
+    k_events = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 24))
+    times = draw(st.lists(st.sampled_from(TIMES), min_size=n, max_size=n))
+    events = draw(st.lists(st.integers(0, k_events), min_size=n, max_size=n))
+    steps = np.array(
+        draw(st.lists(st.sampled_from([0.0, 0.05, 0.1]), min_size=n * k_events * 2, max_size=n * k_events * 2))
+    ).reshape(n, k_events, 2)
+    last = np.array(
+        draw(st.lists(st.sampled_from([0.05, 0.1]), min_size=n * k_events, max_size=n * k_events))
+    ).reshape(n, k_events, 1)
+    values = np.cumsum(np.concatenate((steps, last), axis=2), axis=2)
+    cohort = make_cohort(times, events, k=k_events)
+    return cohort, make_bundle([1.0, 2.0, 3.0], values, cohort.ids)
 
 
 def prediction_bundle(preds_at_tau, grid_times, k=1):
@@ -252,3 +318,69 @@ class TestEvaluateBundle:
         assert result.ibs > 0
         d = result.to_dict()
         assert set(d) == {"c_index", "c_index_mean", "brier", "ibs"}
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+    def test_rejects_non_finite_or_non_positive_horizons(self, bad):
+        cohort, latents = generate_cohort(WeibullConfig(), 200, seed=15)
+        grid = TimeGrid(np.unique(np.quantile(cohort.times, [0.3, 0.6, 0.9])))
+        bundle = oracle_bundle(latents, grid, cohort.ids)
+        with pytest.raises(ValidationError):
+            evaluate_bundle(cohort, bundle, [float(np.median(cohort.times)), bad])
+
+
+class TestCIndexReferences:
+    @pytest.mark.parametrize("seed", [21, 22])
+    def test_matches_blocked_on_generated_cohorts(self, seed):
+        cohort, latents = generate_cohort(WeibullConfig(), 2000, seed=seed)
+        grid = TimeGrid(np.unique(np.quantile(cohort.times, np.linspace(0.1, 0.9, 12))))
+        oracle = oracle_bundle(latents, grid, cohort.ids)
+        g = censoring_survival(cohort)
+        for bundle in (oracle, square_distort(oracle)):
+            for k in (1, 2, 3):
+                for tau in default_horizons(cohort):
+                    got = cr_c_index(cohort, bundle, k, tau, g)
+                    want = blocked_c_index(cohort, bundle, k, tau, g)
+                    assert got == pytest.approx(want, rel=1e-12)
+
+    @given(scored_cohorts(), st.sampled_from(TAUS))
+    def test_matches_brute_force_property(self, case, tau):
+        cohort, bundle = case
+        g = censoring_survival(cohort)
+        for k in range(1, cohort.k_events + 1):
+            if float(g.at_left(tau)) <= 0.0:
+                with pytest.raises(NumericError):
+                    cr_c_index(cohort, bundle, k, tau, g)
+                continue
+            got = cr_c_index(cohort, bundle, k, tau, g)
+            want = brute_force_c_index(cohort, bundle, k, tau, g)
+            if math.isnan(want):
+                assert math.isnan(got)
+            else:
+                assert got == pytest.approx(want, rel=1e-12)
+
+
+class TestBrierPass:
+    @given(scored_cohorts(), st.lists(st.sampled_from(TAUS), min_size=1, max_size=4))
+    def test_matches_per_tau_property(self, case, taus):
+        cohort, bundle = case
+        g = censoring_survival(cohort)
+        if np.any(g.at(taus) <= 0.0):
+            with pytest.raises(NumericError):
+                brier_scores(cohort, bundle, taus, g)
+            return
+        scores = brier_scores(cohort, bundle, taus, g)
+        assert scores.shape == (cohort.k_events, len(taus))
+        for k in range(1, cohort.k_events + 1):
+            for j, tau in enumerate(taus):
+                assert scores[k - 1, j] == pytest.approx(per_tau_brier(cohort, bundle, k, tau, g), rel=1e-12)
+
+    def test_evaluate_bundle_uses_the_same_scores(self):
+        cohort, latents = generate_cohort(WeibullConfig(), 400, seed=15)
+        grid = TimeGrid(np.unique(np.quantile(cohort.times, [0.2, 0.4, 0.6, 0.8])))
+        bundle = oracle_bundle(latents, grid, cohort.ids)
+        g = censoring_survival(cohort)
+        result = evaluate_bundle(cohort, bundle)
+        for k in (1, 2, 3):
+            for tau, value in result.brier[k].items():
+                assert value == pytest.approx(per_tau_brier(cohort, bundle, k, tau, g), rel=1e-12)
+        assert result.ibs == pytest.approx(integrated_brier(cohort, bundle, grid, g), rel=1e-12)
