@@ -69,6 +69,8 @@ def cr_c_index(
     i to strictly exceed that of j at tau.
     """
     check_aligned(bundle, cohort)
+    if not 1 <= k <= cohort.k_events:
+        raise ValidationError(f"event {k} out of range 1..{cohort.k_events}")
     if float(censoring.at_left(tau)) <= 0.0:
         raise NumericError("censoring survival vanishes before the horizon; IPCW undefined")
     times, events = cohort.times, cohort.events
@@ -177,6 +179,8 @@ def brier_score(
     cohort: Cohort, bundle: CifBundle, k: int, tau: float, censoring: StepCurve
 ) -> float:
     """IPCW Brier score of event k at time tau."""
+    if not 1 <= k <= bundle.k_events:
+        raise ValidationError(f"event {k} out of range 1..{bundle.k_events}")
     return float(brier_scores(cohort, bundle, [tau], censoring)[k - 1, 0])
 
 

@@ -4,10 +4,11 @@ Two methods. Additive offset recalibration shifts every sample's CIF at
 each grid time by the gap between the Aalen-Johansen curve of the
 calibration cohort and the model's mean prediction there, making the
 recalibrated mean match the population curve exactly when no feasibility
-repair triggers. Temperature scaling instead fits, independently per grid
-time, a single exponent beta applied to the full probability vector
-(survival plus events, so each recalibrated vector sums to one) that
-minimizes the summed marginal gaps.
+repair triggers. Temperature scaling instead fits one exponent beta per
+grid time, applied to the full probability vector (survival plus events,
+so each recalibrated vector sums to one), that minimizes the summed
+marginal gaps; one batched search fits all grid times together in a few
+(K+1) x n x d float64 arrays.
 
 Recalibrated values are projected back onto the feasible set (values in
 [0, 1], nondecreasing in time, event sum at most one) and every repaired
@@ -61,8 +62,8 @@ class RecalibrationMap:
         else:
             if self.temperatures is None or self.temperatures.shape != (self.grid.d,):
                 raise ValidationError("temperatures must align with the grid")
-            if np.any(self.temperatures <= 0):
-                raise ValidationError("temperatures must be positive")
+            if not np.all(np.isfinite(self.temperatures) & (self.temperatures > 0)):
+                raise ValidationError("temperatures must be finite and positive")
 
     def to_dict(self) -> dict:
         out: dict = {"method": self.method, "grid": self.grid.times.tolist()}
@@ -155,42 +156,25 @@ def apply_offsets(bundle: CifBundle, rmap: RecalibrationMap) -> CifBundle:
     return CifBundle(bundle.grid, values, bundle.sample_ids)
 
 
-def _power_mean_gap(log_p: np.ndarray, targets: np.ndarray, beta: float) -> float:
-    """Summed marginal gap after scaling all vectors with exponent beta."""
-    z = beta * log_p
-    z -= z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    g = e / e.sum(axis=1, keepdims=True)
-    return float(np.abs(g[:, 1:].mean(axis=0) - targets).sum())
-
-
-def _golden_section(fun, lo: float, hi: float, tol: float = 1e-6) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = fun(x1), fun(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = fun(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = fun(x2)
-    return 0.5 * (a + b)
-
-
 def _normalized_vectors(bundle: CifBundle, taus: np.ndarray) -> np.ndarray:
-    """Per-sample (survival, events) probability vectors, shape (n, K+1, m)."""
-    preds = bundle.values_at(taus)
-    surv = np.clip(1.0 - preds.sum(axis=1), 0.0, None)
-    p = np.concatenate([surv[:, None, :], preds], axis=1)
-    totals = p.sum(axis=1, keepdims=True)
+    """Event-major (survival, events) probability vectors, shape (K+1, n, m)."""
+    preds = np.ascontiguousarray(bundle.values_at(taus).transpose(1, 0, 2))
+    surv = np.clip(1.0 - preds.sum(axis=0), 0.0, None)
+    p = np.concatenate([surv[None], preds])
+    totals = p.sum(axis=0)
     if np.any(totals <= 0.0):
         raise ValidationError("all-zero probability vector for some sample and time")
     return p / totals
+
+
+def _power_scale(log_p: np.ndarray, beta) -> np.ndarray:
+    """Event shares, shape (K, n, m), of the event-major log vectors log_p
+    (K+1, n, m), survival first, raised to beta per time and renormalized."""
+    z = beta * log_p
+    z -= z.max(axis=0)
+    np.exp(z, out=z)
+    z[1:] /= z.sum(axis=0)
+    return z[1:]
 
 
 def fit_temperature(cal_cohort: Cohort, cal_bundle: CifBundle, grid: TimeGrid) -> RecalibrationMap:
@@ -200,32 +184,48 @@ def fit_temperature(cal_cohort: Cohort, cal_bundle: CifBundle, grid: TimeGrid) -
     power and renormalizes; beta is found by a log-spaced grid scan over
     [1e-3, 1e3] refined by golden section to a relative tolerance of 1e-6.
     A beta of exactly 1 is kept whenever it is within numerical slack of
-    the optimum, so already-calibrated inputs are left untouched.
+    the optimum, so already-calibrated inputs are left untouched. All grid
+    times are fitted together: each gap evaluation scores every time at
+    once in a few (K+1) x n x d float64 arrays beside the normalized vectors.
     """
     _check_fit_inputs(cal_cohort, cal_bundle, grid)
     curves = aalen_johansen(cal_cohort)
-    targets_all = np.stack(
-        [curves.cif(k).at(grid.times) for k in range(1, cal_bundle.k_events + 1)]
-    )
-    p = _normalized_vectors(cal_bundle, grid.times)
+    targets = np.stack([curves.cif(k).at(grid.times) for k in range(1, cal_bundle.k_events + 1)])
+    log_p = np.log(_normalized_vectors(cal_bundle, grid.times) + _LOGIT_EPS)
+
+    def gap(beta) -> np.ndarray:
+        shares = _power_scale(log_p, beta)
+        # sum samples in the order numpy uses on one time's (n, K) slice (pairwise
+        # for K = 1, row by row otherwise), whatever times share the batch
+        if targets.shape[0] == 1:
+            means = np.ascontiguousarray(shares[0].T).mean(axis=1)
+        else:
+            means = np.ascontiguousarray(shares.transpose(1, 0, 2)).mean(axis=0)
+        return np.abs(means - targets).sum(axis=0)
+
+    def gap_at_log(lb: np.ndarray) -> np.ndarray:
+        return gap(np.fromiter(map(math.exp, lb), float, lb.size))
+
     log_grid = np.log(_BETA_GRID)
-    betas = np.empty(grid.d)
-    for j in range(grid.d):
-        log_p = np.log(p[:, :, j] + _LOGIT_EPS)
-        targets = targets_all[:, j]
-
-        def gap_at_log_beta(lb: float) -> float:
-            return _power_mean_gap(log_p, targets, math.exp(lb))
-
-        scan = np.array([_power_mean_gap(log_p, targets, b) for b in _BETA_GRID])
-        best = int(scan.argmin())
-        lo = log_grid[max(best - 1, 0)]
-        hi = log_grid[min(best + 1, log_grid.size - 1)]
-        beta = math.exp(_golden_section(gap_at_log_beta, lo, hi))
-        candidate = _power_mean_gap(log_p, targets, beta)
-        if _power_mean_gap(log_p, targets, 1.0) <= candidate + _IDENTITY_SLACK:
-            beta = 1.0
-        betas[j] = beta
+    best = np.array([gap(b) for b in _BETA_GRID]).argmin(axis=0)
+    a = log_grid[np.maximum(best - 1, 0)]
+    b = log_grid[np.minimum(best + 1, log_grid.size - 1)]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = gap_at_log(x1), gap_at_log(x2)
+    # golden section; a time's bracket stops moving once it is narrow enough
+    while (active := b - a > 1e-6).any():
+        left = f1 <= f2
+        lo, hi = active & left, active & ~left
+        b[lo], x2[lo], f2[lo] = x2[lo], x1[lo], f1[lo]
+        a[hi], x1[hi], f1[hi] = x1[hi], x2[hi], f2[hi]
+        probe = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
+        f = gap_at_log(probe)
+        x1[lo], f1[lo] = probe[lo], f[lo]
+        x2[hi], f2[hi] = probe[hi], f[hi]
+    betas = np.fromiter(map(math.exp, 0.5 * (a + b)), float, grid.d)
+    betas[gap(1.0) <= gap(betas) + _IDENTITY_SLACK] = 1.0
     return RecalibrationMap(TEMPERATURE, grid, temperatures=betas)
 
 
@@ -241,12 +241,8 @@ def apply_temperature(bundle: CifBundle, rmap: RecalibrationMap) -> CifBundle:
     taus = bundle.grid.times
     idx = step_indices(rmap.grid.times, taus)
     beta = np.where(idx >= 0, rmap.temperatures[np.maximum(idx, 0)], 1.0)
-    p = _normalized_vectors(bundle, taus)
-    z = beta[None, None, :] * np.log(p + _LOGIT_EPS)
-    z -= z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    g = e / e.sum(axis=1, keepdims=True)
-    events = g[:, 1:, :]
+    log_p = np.log(_normalized_vectors(bundle, taus) + _LOGIT_EPS)
+    events = np.ascontiguousarray(_power_scale(log_p, beta).transpose(1, 0, 2))
     # an underflowed survival coordinate would leave the event sum at
     # exactly one; keep the same headroom as the projection repairs
     sums = events.sum(axis=1, keepdims=True)

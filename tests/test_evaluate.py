@@ -328,6 +328,20 @@ class TestEvaluateBundle:
             evaluate_bundle(cohort, bundle, [float(np.median(cohort.times)), bad])
 
 
+class TestEventNumber:
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_rejects_event_outside_one_to_k(self, k):
+        cohort, latents = generate_cohort(WeibullConfig(), 300, seed=15)
+        grid = TimeGrid(np.unique(np.quantile(cohort.times, [0.3, 0.6, 0.9])))
+        bundle = oracle_bundle(latents, grid, cohort.ids)
+        g = censoring_survival(cohort)
+        tau = float(np.median(cohort.times))
+        with pytest.raises(ValidationError, match="out of range"):
+            cr_c_index(cohort, bundle, k, tau, g)
+        with pytest.raises(ValidationError, match="out of range"):
+            brier_score(cohort, bundle, k, tau, g)
+
+
 class TestCIndexReferences:
     @pytest.mark.parametrize("seed", [21, 22])
     def test_matches_blocked_on_generated_cohorts(self, seed):

@@ -1,17 +1,26 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import make_bundle, make_cohort
 
 from crcal.calibration import MetricParams, pi_cal_alpha
 from crcal.curves import aalen_johansen, marginal_bundle
-from crcal.data import TimeGrid, quantile_grid, split_cohort
+from crcal.data import TimeGrid, quantile_grid, split_cohort, step_indices
 from crcal.errors import ValidationError
 from crcal.recalibrate import (
+    _BETA_GRID,
+    _IDENTITY_SLACK,
+    _LOGIT_EPS,
+    _SUM_HEADROOM,
     AJ_OFFSET,
     TEMPERATURE,
     RecalibrationMap,
     apply_offsets,
+    _feasible_projection,
     apply_temperature,
     fit_aj_offsets,
     fit_temperature,
@@ -30,6 +39,124 @@ def aj_replicated_case(n=40, seed=0, k=2):
     curves = aalen_johansen(cohort)
     bundle = marginal_bundle(curves, grid, cohort.ids)
     return cohort, curves, grid, bundle
+
+
+def power_mean_gap(log_p, targets, beta):
+    """Summed marginal gap after scaling all (n, K+1) vectors with exponent beta."""
+    z = beta * log_p
+    z -= z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    g = e / e.sum(axis=1, keepdims=True)
+    return float(np.abs(g[:, 1:].mean(axis=0) - targets).sum())
+
+
+def golden_section(fun, lo, hi, tol=1e-6):
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = fun(x1), fun(x2)
+    while b - a > tol:
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = fun(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = fun(x2)
+    return 0.5 * (a + b)
+
+
+def sample_major_vectors(bundle, taus):
+    """Per-sample (survival, events) probability vectors, shape (n, K+1, m)."""
+    preds = bundle.values_at(taus)
+    surv = np.clip(1.0 - preds.sum(axis=1), 0.0, None)
+    p = np.concatenate([surv[:, None, :], preds], axis=1)
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def per_time_temperature(cal_cohort, cal_bundle, grid):
+    """Temperatures fitted one grid time at a time: a scan of the beta grid,
+    golden section on the bracket around its minimum, then the identity
+    check, all on that time's (n, K+1) sample-major vectors."""
+    p = sample_major_vectors(cal_bundle, grid.times)
+    curves = aalen_johansen(cal_cohort)
+    targets_all = np.stack([curves.cif(k).at(grid.times) for k in range(1, cal_bundle.k_events + 1)])
+    log_grid = np.log(_BETA_GRID)
+    betas = np.empty(grid.d)
+    for j in range(grid.d):
+        log_p = np.log(p[:, :, j] + _LOGIT_EPS)
+        targets = targets_all[:, j]
+
+        def gap_at_log_beta(lb):
+            return power_mean_gap(log_p, targets, math.exp(lb))
+
+        scan = np.array([power_mean_gap(log_p, targets, b) for b in _BETA_GRID])
+        best = int(scan.argmin())
+        lo = log_grid[max(best - 1, 0)]
+        hi = log_grid[min(best + 1, log_grid.size - 1)]
+        beta = math.exp(golden_section(gap_at_log_beta, lo, hi))
+        candidate = power_mean_gap(log_p, targets, beta)
+        if power_mean_gap(log_p, targets, 1.0) <= candidate + _IDENTITY_SLACK:
+            beta = 1.0
+        betas[j] = beta
+    return betas
+
+
+def sample_major_apply_temperature(bundle, rmap):
+    """Recalibrated values and repair count of a temperature map, scaled on
+    the (n, K+1, d) sample-major vectors."""
+    idx = step_indices(rmap.grid.times, bundle.grid.times)
+    beta = np.where(idx >= 0, rmap.temperatures[np.maximum(idx, 0)], 1.0)
+    p = sample_major_vectors(bundle, bundle.grid.times)
+    z = beta[None, None, :] * np.log(p + _LOGIT_EPS)
+    z -= z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    g = e / e.sum(axis=1, keepdims=True)
+    events = g[:, 1:, :]
+    sums = events.sum(axis=1, keepdims=True)
+    saturated = sums > 1.0 - _SUM_HEADROOM
+    extra = int(np.count_nonzero(saturated))
+    if extra:
+        factor = (1.0 - _SUM_HEADROOM) / np.where(saturated, sums, 1.0)
+        events = np.where(saturated, events * factor, events)
+    values, repairs = _feasible_projection(events)
+    return values, repairs + extra
+
+
+BUNDLE_TIMES = np.linspace(0.5, 5.0, 6)
+
+
+@st.composite
+def temperature_cases(draw):
+    """A cohort with K in {1, 2, 3}, a bundle on BUNDLE_TIMES and a fit grid
+    of its last 1 to 6 times. The rows are the cohort's own AJ curves
+    (identical and calibrated) or drawn per sample (distinct); the vectors
+    are then raised to a power from flattening to sharpening, which moves
+    the best beta past either end of the beta grid."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(k + 1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    times = np.round(rng.uniform(0.2, 5.0, n), 1)
+    events = rng.integers(0, k + 1, n)
+    events[:k] = np.arange(1, k + 1)
+    # a censored last record keeps the AJ curves below one
+    times[-1], events[-1] = 5.0, 0
+    cohort = make_cohort(times, events, k=k)
+    grid = TimeGrid(BUNDLE_TIMES)
+    if draw(st.booleans()):
+        bundle = marginal_bundle(aalen_johansen(cohort), grid, cohort.ids)
+    else:
+        values = np.cumsum(rng.uniform(0.0, 1.0, (n, k, grid.d)), axis=2)
+        values *= rng.uniform(0.3, 0.95, (n, 1, 1)) / values[:, :, -1:].sum(axis=1, keepdims=True)
+        bundle = make_bundle(grid.times, values, cohort.ids)
+    power = draw(st.sampled_from([1.0, 1e-5, 0.2, 5.0, 100.0]))
+    if power != 1.0:
+        rmap = RecalibrationMap(TEMPERATURE, grid, temperatures=np.full(grid.d, power))
+        bundle = apply_temperature(bundle, rmap)
+    d = draw(st.integers(1, grid.d))
+    return cohort, bundle, TimeGrid(grid.times[-d:])
 
 
 class TestFitOffsets:
@@ -151,6 +278,48 @@ class TestTemperature:
         rmap = fit_temperature(cohort, warped, grid)
         out = apply_temperature(warped, rmap)
         assert np.all(out.values.sum(axis=1) <= 1.0 + 1e-9)
+
+
+class TestBatchedTemperature:
+    @given(temperature_cases(), st.booleans())
+    def test_matches_per_time_property(self, case, calibrated):
+        cohort, bundle, grid = case
+        if calibrated:
+            bundle = marginal_bundle(aalen_johansen(cohort), bundle.grid, cohort.ids)
+        got = fit_temperature(cohort, bundle, grid).temperatures
+        assert np.array_equal(got, per_time_temperature(cohort, bundle, grid))
+        if calibrated:
+            assert np.all(got == 1.0)
+
+    @pytest.mark.parametrize("seed", [31, 32])
+    def test_matches_per_time_on_generated_cohorts(self, seed):
+        cohort, latents = generate_cohort(WeibullConfig(), 2000, seed=seed)
+        grid = TimeGrid(np.unique(np.quantile(cohort.times, np.linspace(0.1, 0.9, 12))))
+        bundle = square_distort(oracle_bundle(latents, grid, cohort.ids))
+        got = fit_temperature(cohort, bundle, grid).temperatures
+        assert np.array_equal(got, per_time_temperature(cohort, bundle, grid))
+        assert np.all(got != 1.0)
+
+    @pytest.mark.parametrize("beta", [0.3, 1.0, 2.5, 400.0])
+    def test_apply_matches_sample_major_scaling(self, beta):
+        cohort, latents = generate_cohort(WeibullConfig(), 300, seed=33)
+        grid = TimeGrid(np.unique(np.quantile(cohort.times, np.linspace(0.1, 1.0, 10))))
+        bundle = square_distort(oracle_bundle(latents, grid, cohort.ids))
+        # the map starts after the first bundle time, which keeps beta 1 there
+        rmap = RecalibrationMap(TEMPERATURE, TimeGrid(grid.times[1::2]), temperatures=np.full(5, beta))
+        out = apply_temperature(bundle, rmap)
+        values, repairs = sample_major_apply_temperature(bundle, rmap)
+        assert np.array_equal(out.values, values)
+        assert out.values.flags.c_contiguous
+        assert rmap.clip_events == repairs
+
+
+class TestRecalibrationMap:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_non_finite_or_non_positive_temperatures(self, bad):
+        grid = TimeGrid(np.array([1.0, 2.0]))
+        with pytest.raises(ValidationError, match="temperatures"):
+            RecalibrationMap(TEMPERATURE, grid, temperatures=np.array([1.0, bad]))
 
 
 class TestUpperPredictiveBound:
