@@ -8,7 +8,8 @@ to every bucket [0, rho] their ratio falls into; bucket masses are
 normalized by the total predicted terminal mass. The marginal family
 compares the across-sample mean predicted CIF with a population-level
 plug-in curve (Aalen-Johansen) at every time, aggregated by a
-time-integrated alpha-norm.
+time-integrated alpha-norm. Each metric shares its input with its KS
+test: ``bucket_deviations`` for the first family, ``marginal_gaps`` here.
 """
 
 from __future__ import annotations
@@ -61,13 +62,14 @@ class _EventTerms:
 def _event_terms(bundle: CifBundle, cohort: Cohort, k: int) -> _EventTerms:
     if not 1 <= k <= cohort.k_events:
         raise ValidationError(f"event {k} out of range 1..{cohort.k_events}")
-    f_t = bundle.values_at_own_times(cohort.times)[:, k - 1]
+    own = bundle.values_at_own_times(cohort.times)
+    f_t = own[:, k - 1]
     f_inf = bundle.terminal()[:, k - 1]
     ratio = f_t / f_inf
     obs_sorted = np.sort(ratio[cohort.events == k])
     cens = cohort.events == 0
     if cens.any():
-        surv = bundle.survival_at_own_times(cohort.times)[cens]
+        surv = (1.0 - own.sum(axis=1))[cens]
         if np.any(surv <= SURVIVAL_FLOOR):
             bad = np.flatnonzero(cens)[np.argmin(surv)]
             raise NumericError(
@@ -153,13 +155,21 @@ def cr_d_hat(
     return per_event, float(sum(per_event.values()))
 
 
+def marginal_gaps(bundle: CifBundle, marginal: MarginalCurveSet, taus) -> np.ndarray:
+    """Gaps |AJ_k(tau) - mean_i F_k(tau | x_i)|, shape (K, len(taus)): the
+    common input of the marginal-calibration metric and its KS test."""
+    taus = np.asarray(taus, dtype=float)
+    return np.abs(marginal.cifs_at(taus) - bundle.mean_at(taus))
+
+
 def pi_cal_tau(bundle: CifBundle, marginal: MarginalCurveSet, k: int, tau: float) -> float:
     """Absolute gap at one time between the plug-in marginal CIF and the
     mean predicted CIF."""
     if tau > bundle.grid.t_max and (marginal.event_times.size == 0 or tau > marginal.event_times[-1]):
         raise ValidationError("tau is beyond both the bundle grid and the marginal support")
-    mean_pred = float(bundle.values_at(np.asarray([tau]))[:, k - 1, 0].mean())
-    return abs(float(marginal.cif(k).at(tau)) - mean_pred)
+    if not 1 <= k <= bundle.k_events:
+        raise ValidationError(f"event {k} out of range 1..{bundle.k_events}")
+    return float(marginal_gaps(bundle, marginal, [tau])[k - 1, 0])
 
 
 def pi_cal_alpha(
@@ -177,12 +187,9 @@ def pi_cal_alpha(
         grid = bundle.grid
     if grid.t_max > bundle.grid.t_max * (1 + 1e-12):
         raise ValidationError("integration grid extends past the bundle horizon")
-    taus = grid.times
-    deltas = np.diff(np.concatenate(([0.0], taus)))
-    mean_pred = bundle.values_at(taus).mean(axis=0)
+    deltas = np.diff(np.concatenate(([0.0], grid.times)))
     per_event: dict[int, float] = {}
-    for k in range(1, bundle.k_events + 1):
-        gaps = np.abs(marginal.cif(k).at(taus) - mean_pred[k - 1])
+    for k, gaps in enumerate(marginal_gaps(bundle, marginal, grid.times), start=1):
         if math.isinf(params.alpha):
             per_event[k] = float(gaps.max())
         else:

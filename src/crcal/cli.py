@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -111,7 +110,10 @@ def cmd_aj(args) -> int:
 def cmd_metrics(args) -> int:
     cohort = _load_cohort(args.cohort, args.k_events)
     bundle = _load_bundle(args.bundle, args.k_events)
-    alpha = math.inf if args.alpha in ("inf", "INF") else float(args.alpha)
+    try:
+        alpha = float(args.alpha)
+    except ValueError:
+        raise ValidationError(f"--alpha must be a number or inf, got {args.alpha!r}") from None
     params = MetricParams(alpha=alpha, rho_steps=args.rho_steps)
     report = calibration_report(bundle, cohort, params, args.level, args.seed)
     _write(Path(args.out), report.to_json())
@@ -155,21 +157,32 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _bench_settings(text: str) -> dict:
+    """Typed bench config with its defaults; malformed input raises ValidationError."""
+    try:
+        config = json.loads(text)
+        if not isinstance(config, dict):
+            raise TypeError("the config must be a JSON object")
+        scale = config.get("censoring_scale")
+        return {
+            "n": int(config["n"]),
+            "seed": int(config.get("seed", 0)),
+            "grid_size": int(config.get("grid_size", DEFAULT_GRID_SIZE)),
+            "model": config.get("model", "aj"),
+            "params": MetricParams(float(config.get("alpha", 2.0)), int(config.get("rho_steps", 100))),
+            "level": float(config.get("level", 0.05)),
+            "fractions": tuple(float(f) for f in config.get("fractions", DEFAULT_FRACTIONS)),
+            "weibull": WeibullConfig(censoring_scale=None if scale is None else float(scale)),
+        }
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed bench config ({type(exc).__name__}: {exc})") from None
+
+
 def _bench_seed(config: dict, seed: int, out_dir: Path) -> dict:
     """One benchmark replicate: simulate, split, model, score, recalibrate."""
-    n = config["n"]
-    grid_size = config.get("grid_size", DEFAULT_GRID_SIZE)
-    model = config.get("model", "aj")
-    params = MetricParams(
-        alpha=math.inf if config.get("alpha") == "inf" else float(config.get("alpha", 2.0)),
-        rho_steps=int(config.get("rho_steps", 100)),
-    )
-    level = float(config.get("level", 0.05))
-    fractions = tuple(config.get("fractions", DEFAULT_FRACTIONS))
-
-    wconfig = WeibullConfig(censoring_scale=config.get("censoring_scale"))
-    cohort, latents = generate_cohort(wconfig, n, seed)
-    train, cal, test = split_cohort(cohort, seed, fractions)
+    grid_size, model = config["grid_size"], config["model"]
+    cohort, latents = generate_cohort(config["weibull"], config["n"], seed)
+    train, cal, test = split_cohort(cohort, seed, config["fractions"])
     by_id = {sid: latents[int(sid) - 1] for sid in cohort.ids}
 
     if model == "aj":
@@ -198,7 +211,7 @@ def _bench_seed(config: dict, seed: int, out_dir: Path) -> dict:
     variants = {"base": test_bundle, "aj": aj_bundle, "ts": ts_bundle}
     row: dict = {"seed": seed}
     for name, bundle in variants.items():
-        rep = calibration_report(bundle, test, params, level, seed)
+        rep = calibration_report(bundle, test, config["params"], config["level"], seed)
         ev = evaluate_bundle(test, bundle)
         combined = rep.to_dict()
         combined["evaluation"] = ev.to_dict()
@@ -250,8 +263,10 @@ def _summary_csv(summary: dict) -> str:
 
 
 def cmd_bench(args) -> int:
-    config = json.loads(_read(args.config))
-    base_seed = int(config.get("seed", 0))
+    config = _bench_settings(_read(args.config))
+    if args.seeds < 1:
+        raise ValidationError("--seeds must be at least 1")
+    base_seed = config["seed"]
     out = Path(args.out)
     rows = []
     for i in range(args.seeds):

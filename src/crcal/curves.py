@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Cohort, CifBundle, TimeGrid, _fmt
+from .data import Cohort, CifBundle, TimeGrid, _fmt, step_indices
 from .errors import ValidationError
 
 
@@ -38,10 +38,8 @@ class StepCurve:
 
     def at(self, t) -> np.ndarray:
         """Value at time t (right-continuous)."""
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.jump_times, t, side="right") - 1
         padded = np.concatenate(([self.initial_value], self.values))
-        return padded[idx + 1]
+        return padded[step_indices(self.jump_times, t) + 1]
 
     def at_left(self, t) -> np.ndarray:
         """Left limit, the value just before time t."""
@@ -87,67 +85,49 @@ class MarginalCurveSet:
             raise ValidationError(f"event {k} out of range 1..{self.k_events}")
         return StepCurve(self.event_times, self.aj_cif[k - 1], 0.0)
 
+    def cifs_at(self, t) -> np.ndarray:
+        """Every event's incidence at times t (right-continuous), shape (K, len(t))."""
+        idx = step_indices(self.event_times, t)
+        return np.where(idx >= 0, self.aj_cif[:, np.maximum(idx, 0)], 0.0)
+
     @property
     def censoring(self) -> StepCurve:
         return StepCurve(self.event_times, self.censoring_survival, 1.0)
 
 
-def _risk_table(cohort: Cohort):
-    """Unique times with event counts per type, censor counts, risk sets."""
+def kaplan_meier(cohort: Cohort) -> StepCurve:
+    """Kaplan-Meier survival of the time to any event, ``aalen_johansen(cohort).km``."""
+    return aalen_johansen(cohort).km
+
+
+def censoring_survival(cohort: Cohort) -> StepCurve:
+    """Kaplan-Meier censoring survival G, ``aalen_johansen(cohort).censoring``."""
+    return aalen_johansen(cohort).censoring
+
+
+def aalen_johansen(cohort: Cohort) -> MarginalCurveSet:
+    """Aalen-Johansen cause-specific CIFs with matching KM and G curves.
+
+    One risk-set pass gives all three. S(t) = prod_{t_i <= t} (Y(t_i) -
+    d(t_i)) / Y(t_i), with d counting all failures at t_i and Y the number
+    at risk there; F_k(t) = sum_{t_i <= t} S(t_i-) d_k(t_i) / Y(t_i),
+    clamped at 1, so at every jump time sum_k F_k + S equals 1 up to float
+    accumulation. G swaps the roles of censoring and failure; at tied
+    times the failures leave the risk set first.
+    """
+    if cohort.n == 0:
+        raise ValidationError("cohort is empty")
     utimes, inverse = np.unique(cohort.times, return_inverse=True)
     m = utimes.size
     k1 = cohort.k_events + 1
     flat = np.bincount(cohort.events * m + inverse, minlength=k1 * m)
     counts = flat.reshape(k1, m)
     at_risk = cohort.n - np.concatenate(([0], np.cumsum(counts.sum(axis=0))[:-1]))
-    return utimes, counts, at_risk
-
-
-def kaplan_meier(cohort: Cohort) -> StepCurve:
-    """Kaplan-Meier survival of the time to any event.
-
-    S(t) = prod_{t_i <= t} (Y(t_i) - d(t_i)) / Y(t_i) with d counting all
-    non-censored records at t_i and Y the number still at risk there.
-    """
-    if cohort.n == 0:
-        raise ValidationError("cohort is empty")
-    utimes, counts, at_risk = _risk_table(cohort)
-    d_any = counts[1:, :].sum(axis=0)
-    surv = np.cumprod((at_risk - d_any) / at_risk)
-    return StepCurve(utimes, surv, 1.0)
-
-
-def censoring_survival(cohort: Cohort) -> StepCurve:
-    """Kaplan-Meier estimate G of the censoring survival function.
-
-    Censoring is treated as the event and any real event as censoring;
-    at tied times the real events are removed from the risk set first.
-    """
-    if cohort.n == 0:
-        raise ValidationError("cohort is empty")
-    utimes, counts, at_risk = _risk_table(cohort)
-    d_any = counts[1:, :].sum(axis=0)
-    c = counts[0, :]
-    risk_g = at_risk - d_any
-    factors = np.where(risk_g > 0, (risk_g - c) / np.where(risk_g > 0, risk_g, 1), 1.0)
-    return StepCurve(utimes, np.cumprod(factors), 1.0)
-
-
-def aalen_johansen(cohort: Cohort) -> MarginalCurveSet:
-    """Aalen-Johansen cause-specific CIFs with matching KM and G curves.
-
-    F_k(t) = sum_{t_i <= t} S(t_i-) d_k(t_i) / Y(t_i), where S(t-) is the
-    Kaplan-Meier left limit. Built in one pass so that at every jump time
-    sum_k F_k + S equals 1 up to float accumulation.
-    """
-    if cohort.n == 0:
-        raise ValidationError("cohort is empty")
-    utimes, counts, at_risk = _risk_table(cohort)
     d_any = counts[1:, :].sum(axis=0)
     surv = np.cumprod((at_risk - d_any) / at_risk)
     surv_left = np.concatenate(([1.0], surv[:-1]))
     increments = surv_left[None, :] * counts[1:, :] / at_risk[None, :]
-    aj = np.cumsum(increments, axis=1)
+    aj = np.minimum(np.cumsum(increments, axis=1), 1.0)
     c = counts[0, :]
     risk_g = at_risk - d_any
     factors = np.where(risk_g > 0, (risk_g - c) / np.where(risk_g > 0, risk_g, 1), 1.0)
@@ -159,7 +139,7 @@ def marginal_bundle(curves: MarginalCurveSet, grid: TimeGrid, sample_ids) -> Cif
 
     This is the Aalen-Johansen estimator used as a (covariate-free) model.
     """
-    vals = np.stack([curves.cif(k + 1).at(grid.times) for k in range(curves.k_events)])
+    vals = curves.cifs_at(grid.times)
     if np.any(vals[:, -1] <= 0.0):
         raise ValidationError("marginal CIF is zero at t_max for some event; cannot form a bundle")
     values = np.broadcast_to(vals[None, :, :], (len(sample_ids), curves.k_events, grid.d)).copy()

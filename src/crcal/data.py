@@ -178,6 +178,17 @@ class CifBundle:
         out = np.where(idx[None, None, :] >= 0, self.values[:, :, np.maximum(idx, 0)], 0.0)
         return out
 
+    def mean_at(self, t: np.ndarray) -> np.ndarray:
+        """Across-sample mean CIFs at arbitrary times, shape (K, len(t)),
+        equal bitwise to ``values_at(t).mean(axis=0)``: numpy sums the
+        samples row by row, or pairwise for a lone event."""
+        idx = step_indices(self.grid.times, t)
+        if self.k_events == 1:
+            mean = np.ascontiguousarray(self.values.transpose(1, 2, 0)).mean(axis=2)
+        else:
+            mean = self.values.mean(axis=0)
+        return np.where(idx[None, :] >= 0, mean[:, np.maximum(idx, 0)], 0.0)
+
     def values_at_own_times(self, t: np.ndarray) -> np.ndarray:
         """Step-evaluate each sample's CIFs at its own time, shape (n, K)."""
         t = np.asarray(t, dtype=float)
@@ -198,9 +209,18 @@ class CifBundle:
         return self.values[:, :, -1]
 
 
+def _csv_rows(csv_text: str):
+    """Rows of CSV text; a malformed line raises ValidationError."""
+    reader = csv.reader(io.StringIO(csv_text))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValidationError(f"line {reader.line_num}: malformed CSV ({exc})") from None
+
+
 def parse_cohort(csv_text: str, k_events: int) -> Cohort:
     """Parse cohort CSV with header ``id,time,event[,x1,...,xd]``."""
-    reader = csv.reader(io.StringIO(csv_text))
+    reader = _csv_rows(csv_text)
     try:
         header = next(reader)
     except StopIteration:
@@ -267,7 +287,7 @@ def parse_bundle(csv_text: str, k_events: int) -> CifBundle:
     Every (sample, event) pair must cover the identical set of times; the
     grid is the sorted set of distinct times. Row order is free.
     """
-    reader = csv.reader(io.StringIO(csv_text))
+    reader = _csv_rows(csv_text)
     try:
         header = next(reader)
     except StopIteration:

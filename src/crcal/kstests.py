@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import bucket_deviations
+from .calibration import bucket_deviations, marginal_gaps
 from .curves import MarginalCurveSet
 from .data import CifBundle, Cohort
 from .errors import ValidationError
@@ -114,8 +114,7 @@ def pi_cal_test(
     if not 0.0 < level < 1.0:
         raise ValidationError("level must lie in (0, 1)")
     k_events = cohort.k_events
-    taus = bundle.grid.times
-    mean_pred = bundle.values_at(taus).mean(axis=0)
+    gaps = marginal_gaps(bundle, marginal, bundle.grid.times)
     results: dict[int, TestResult] = {}
     for k in range(1, k_events + 1):
         n_eff = int((cohort.events == k).sum())
@@ -124,8 +123,7 @@ def pi_cal_test(
             warnings.warn(f"event {k} is not testable against the plug-in marginal")
             results[k] = TestResult(math.nan, n_eff, math.nan, False, level, testable=False)
             continue
-        gaps = np.abs(marginal.cif(k).at(taus) - mean_pred[k - 1])
-        stat = float(gaps.max()) / terminal
+        stat = float(gaps[k - 1].max()) / terminal
         p = kolmogorov_p(math.sqrt(n_eff) * stat)
         results[k] = TestResult(stat, n_eff, p, p >= level / k_events, level)
     return results, _overall(results)

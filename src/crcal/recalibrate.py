@@ -90,12 +90,10 @@ def fit_aj_offsets(cal_cohort: Cohort, cal_bundle: CifBundle, grid: TimeGrid) ->
     """
     _check_fit_inputs(cal_cohort, cal_bundle, grid)
     curves = aalen_johansen(cal_cohort)
-    mean_pred = cal_bundle.values_at(grid.times).mean(axis=0)
-    k_events = cal_bundle.k_events
-    offsets = np.empty((k_events + 1, grid.d))
+    mean_pred = cal_bundle.mean_at(grid.times)
+    offsets = np.empty((cal_bundle.k_events + 1, grid.d))
     offsets[0] = curves.km.at(grid.times) - (1.0 - mean_pred.sum(axis=0))
-    for k in range(1, k_events + 1):
-        offsets[k] = curves.cif(k).at(grid.times) - mean_pred[k - 1]
+    offsets[1:] = curves.cifs_at(grid.times) - mean_pred
     return RecalibrationMap(AJ_OFFSET, grid, offsets=offsets)
 
 
@@ -190,7 +188,7 @@ def fit_temperature(cal_cohort: Cohort, cal_bundle: CifBundle, grid: TimeGrid) -
     """
     _check_fit_inputs(cal_cohort, cal_bundle, grid)
     curves = aalen_johansen(cal_cohort)
-    targets = np.stack([curves.cif(k).at(grid.times) for k in range(1, cal_bundle.k_events + 1)])
+    targets = curves.cifs_at(grid.times)
     log_p = np.log(_normalized_vectors(cal_bundle, grid.times) + _LOGIT_EPS)
 
     def gap(beta) -> np.ndarray:

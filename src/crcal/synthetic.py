@@ -143,9 +143,9 @@ def latent_arrays(latents) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cum_hazard(lams: np.ndarray, shapes: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """H(s) for s of shape (c,); lams, shapes of shape (c, K)."""
+    """H(s) for s of shape (c,); lams, shapes of shape (c, K), or any that broadcast so."""
     with np.errstate(over="ignore"):
-        return ((s[:, None] / lams) ** shapes).sum(axis=1)
+        return ((s[..., None] / lams) ** shapes).sum(axis=-1)
 
 def _hazard_inverse(lams: np.ndarray, shapes: np.ndarray, target: float, hi: np.ndarray) -> np.ndarray:
     """Solve H(s) = target per sample by bisection on [0, hi]."""
@@ -159,15 +159,16 @@ def _hazard_inverse(lams: np.ndarray, shapes: np.ndarray, target: float, hi: np.
     return hi
 
 
-def _f_and_fprime(lams, shapes, s, need_fp=True):
-    """Integrands f_k(s) and derivatives f_k'(s) at positive nodes.
+def _integrand(lams, shapes, s, out, eos, qs=None):
+    """Integrands f_k(s) at positive nodes, written into ``out``; with a
+    ``qs`` buffer also the event sum that their derivatives need.
 
-    lams, shapes: (c, K); s: (c, m) with s > 0. Returns (c, K, m) arrays.
-    Everything derives from one power per event and node,
-    P_j = (s / L_j)^(S_j): with Q_j = S_j P_j,
+    lams, shapes: (c, K); s, the scratch ``eos`` and qs: (c, m) with s > 0;
+    out: (c, K, m). Everything derives from one power per event and node,
+    P_j = (s / L_j)^(S_j): with Q_j = S_j P_j and qs = sum_j Q_j,
 
         f_k  = Q_k / s * exp(-sum_j P_j),
-        f_k' = f_k * ((S_k - 1) - sum_j Q_j) / s.
+        f_k' = f_k * ((S_k - 1) - qs) / s.
 
     Overflowing P (far past the survival support) is clamped; there the
     exponential factor drives f below 1e-20, which the quadrature treats
@@ -175,24 +176,19 @@ def _f_and_fprime(lams, shapes, s, need_fp=True):
     """
     sh = shapes[:, :, None]
     with np.errstate(over="ignore"):
-        p = s[:, None, :] / lams[:, :, None]
-        np.power(p, sh, out=p)
-        np.minimum(p, 1e300, out=p)
-        eos = p.sum(axis=1)
+        np.divide(s[:, None, :], lams[:, :, None], out=out)
+        np.power(out, sh, out=out)
+        np.minimum(out, 1e300, out=out)
+        out.sum(axis=1, out=eos)
         np.minimum(eos, 745.0, out=eos)
         np.negative(eos, out=eos)
         np.exp(eos, out=eos)
         eos /= s
-        p *= sh                          # p now holds Q_k = S_k P_k
-        f = p * eos[:, None, :]
-        if not need_fp:
-            return f, None
-        qs = p.sum(axis=1)
-        fp = p                           # reuse the buffer for f'
-        np.subtract(sh - 1.0, qs[:, None, :], out=fp)
-        fp *= f
-        fp /= s[:, None, :]
-    return f, fp
+        out *= sh                        # out now holds Q_k = S_k P_k
+        if qs is not None:
+            out.sum(axis=1, out=qs)
+        out *= eos[:, None, :]
+    return out
 
 
 def _workspace(c: int, k: int) -> dict:
@@ -209,23 +205,6 @@ def _workspace(c: int, k: int) -> dict:
         "incr": np.empty((c, k, N_HEAD + N_BODY)),
         "table": np.zeros((c, k, N_HEAD + N_BODY + 1)),
     }
-
-
-def _f_nodes(lams, shapes, s, out, eos):
-    """Integrand values f_k at positive nodes, written into ``out``."""
-    sh = shapes[:, :, None]
-    with np.errstate(over="ignore"):
-        np.divide(s[:, None, :], lams[:, :, None], out=out)
-        np.power(out, sh, out=out)
-        np.minimum(out, 1e300, out=out)
-        out.sum(axis=1, out=eos)
-        np.minimum(eos, 745.0, out=eos)
-        np.negative(eos, out=eos)
-        np.exp(eos, out=eos)
-        eos /= s
-        out *= sh
-        out *= eos[:, None, :]
-    return out
 
 
 def _chunk_values(lams, shapes, read_times, ws):
@@ -252,7 +231,7 @@ def _chunk_values(lams, shapes, read_times, ws):
     np.multiply((s_hi - s1)[:, None], ws["w"][None, :], out=s_nodes[:, N_HEAD:])
     s_nodes[:, N_HEAD:] += s1[:, None]
     np.maximum(s_nodes, 1e-300, out=s_nodes)
-    f = _f_nodes(lams, shapes, s_nodes, ws["fbuf"][:c], ws["eos"][:c])
+    f = _integrand(lams, shapes, s_nodes, ws["fbuf"][:c], ws["eos"][:c])
 
     # trapezoid increments: head panels in v with g = 3 s1 v^2 f (g = 0 at
     # the implicit v = 0 node), body panels in s
@@ -280,10 +259,11 @@ def _chunk_values(lams, shapes, read_times, ws):
     # itself, and the piece boundaries (for the endpoint corrections)
     v_lo = i0 * dv
     s_lo = np.where(in_head, s1[:, None] * v_lo**3, s1[:, None] + (i0 - N_HEAD) * db[:, None])
-    extras = np.concatenate(
-        [s_lo, read_times, s1[:, None], s_hi[:, None]], axis=1
-    )
-    f_x, fp_x = _f_and_fprime(lams, shapes, np.maximum(extras, 1e-300))
+    extras = np.maximum(np.concatenate([s_lo, read_times, s1[:, None], s_hi[:, None]], axis=1), 1e-300)
+    qs = np.empty((c, 2 * m + 2))
+    f_x = _integrand(lams, shapes, extras, np.empty((c, k, 2 * m + 2)), np.empty_like(qs), qs)
+    with np.errstate(over="ignore"):
+        fp_x = (shapes[:, :, None] - 1.0 - qs[:, None, :]) * f_x / extras[:, None, :]
     f_lo, f_t = f_x[:, :, :m], f_x[:, :, m:2 * m]
     fp_lo = fp_x[:, :, :m]
     f_s1, fp_s1 = f_x[:, :, 2 * m], fp_x[:, :, 2 * m]
@@ -357,9 +337,7 @@ def oracle_survival(latents, times) -> np.ndarray:
     lams, shapes = latent_arrays(latents)
     times = np.asarray(times, dtype=float)
     if times.ndim <= 1 and times.shape != (lams.shape[0],):
-        grid = np.atleast_1d(times)
-        with np.errstate(over="ignore"):
-            h = ((grid[None, :, None] / lams[:, None, :]) ** shapes[:, None, :]).sum(axis=2)
+        h = _cum_hazard(lams[:, None, :], shapes[:, None, :], np.atleast_1d(times)[None, :])
         out = np.exp(-np.minimum(h, 745.0))
         return out[:, 0] if times.ndim == 0 else out
     return np.exp(-np.minimum(_cum_hazard(lams, shapes, times), 745.0))

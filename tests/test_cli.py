@@ -83,6 +83,24 @@ class TestAjCommand:
         assert (tmp_path / "curves" / "censoring.csv").exists()
         assert (tmp_path / "aj_bundle.csv").exists()
 
+    def test_uncensored_single_event_cohort(self, tmp_path):
+        # float accumulation alone takes this AJ curve to 1.0000000000000002
+        rows = "".join(f"{i},{i}.0,1\n" for i in range(1, 19))
+        (tmp_path / "cohort.csv").write_text("id,time,event\n" + rows)
+        code = run(
+            [
+                "aj",
+                "--cohort", tmp_path / "cohort.csv",
+                "--out", tmp_path / "curves",
+                "--k-events", 1,
+                "--replicate-for", tmp_path / "cohort.csv",
+                "--bundle-out", tmp_path / "aj_bundle.csv",
+            ]
+        )
+        assert code == 0
+        assert (tmp_path / "curves" / "cif_1.csv").read_text().splitlines()[-1] == "18,1"
+        assert (tmp_path / "aj_bundle.csv").read_text().splitlines()[-1].endswith(",1")
+
 
 class TestRecalibrateAndEvaluate:
     def _setup(self, tmp_path):
@@ -147,6 +165,30 @@ class TestRecalibrateAndEvaluate:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "eval.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            (["metrics", "--alpha", "abc"], None),
+            (["bench", "--seeds", 1], "{not json"),
+            (["bench", "--seeds", 1], "[1]"),
+            (["bench", "--seeds", 1], '{"model": "oracle"}'),
+            (["bench", "--seeds", 1], '{"n": "x"}'),
+            (["bench", "--seeds", 1], '{"n": 300, "alpha": "abc"}'),
+            (["bench", "--seeds", 0], '{"n": 300}'),
+        ],
+    )
+    def test_malformed_input_exits_two(self, tmp_path, capsys, command, config):
+        if config is None:
+            self._setup(tmp_path)
+            paths = ["--cohort", tmp_path / "cohort.csv", "--bundle", tmp_path / "oracle_bundle.csv"]
+        else:
+            (tmp_path / "bench.json").write_text(config)
+            paths = ["--config", tmp_path / "bench.json"]
+        capsys.readouterr()
+        assert run(command + paths + ["--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
 
 
 class TestBench:

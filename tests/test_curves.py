@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from crcal.curves import StepCurve, aalen_johansen, censoring_survival, kaplan_meier, marginal_bundle
 from crcal.data import Cohort, TimeGrid, quantile_grid
@@ -11,6 +13,48 @@ def make_cohort(times, events, k=None):
     events = np.asarray(events, dtype=int)
     k = k or max(int(events.max()), 1)
     return Cohort(tuple(str(i) for i in range(times.size)), times, events, k)
+
+
+def risk_table(cohort):
+    """Unique times with event counts per type, censor counts, risk sets."""
+    utimes, inverse = np.unique(cohort.times, return_inverse=True)
+    m = utimes.size
+    k1 = cohort.k_events + 1
+    flat = np.bincount(cohort.events * m + inverse, minlength=k1 * m)
+    counts = flat.reshape(k1, m)
+    at_risk = cohort.n - np.concatenate(([0], np.cumsum(counts.sum(axis=0))[:-1]))
+    return utimes, counts, at_risk
+
+
+def standalone_kaplan_meier(cohort):
+    """Kaplan-Meier survival of the time to any event from its own risk table."""
+    utimes, counts, at_risk = risk_table(cohort)
+    d_any = counts[1:, :].sum(axis=0)
+    surv = np.cumprod((at_risk - d_any) / at_risk)
+    return StepCurve(utimes, surv, 1.0)
+
+
+def standalone_censoring_survival(cohort):
+    """Kaplan-Meier censoring survival G from its own risk table; real events
+    leave the risk set first at tied times."""
+    utimes, counts, at_risk = risk_table(cohort)
+    d_any = counts[1:, :].sum(axis=0)
+    c = counts[0, :]
+    risk_g = at_risk - d_any
+    factors = np.where(risk_g > 0, (risk_g - c) / np.where(risk_g > 0, risk_g, 1), 1.0)
+    return StepCurve(utimes, np.cumprod(factors), 1.0)
+
+
+@st.composite
+def cohorts(draw):
+    """Cohorts with K in {1, 2, 3}, tied times, censorings tied with events,
+    and latest records that may fail or be censored."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    times = rng.choice(np.linspace(0.1, 3.0, draw(st.integers(1, 30))), size=n)
+    events = rng.integers(0, k + 1, n) if draw(st.booleans()) else rng.integers(1, k + 1, n)
+    return make_cohort(times, events, k=k)
 
 
 class TestKaplanMeier:
@@ -92,8 +136,30 @@ class TestAalenJohansen:
     def test_censoring_matches_standalone(self):
         cohort = make_cohort([1, 1, 2, 3, 3], [1, 0, 2, 0, 1], k=2)
         curves = aalen_johansen(cohort)
-        g = censoring_survival(cohort)
+        g = standalone_censoring_survival(cohort)
         assert np.array_equal(curves.censoring_survival, g.values)
+
+    @given(cohorts())
+    def test_views_match_standalone_estimators(self, cohort):
+        for view, standalone in (
+            (kaplan_meier(cohort), standalone_kaplan_meier(cohort)),
+            (censoring_survival(cohort), standalone_censoring_survival(cohort)),
+        ):
+            assert np.array_equal(view.jump_times, standalone.jump_times)
+            assert np.array_equal(view.values, standalone.values)
+
+    @given(cohorts())
+    def test_sum_identity_property(self, cohort):
+        # sum_k AJ_k + KM = 1 at every jump time, and no incidence passes one
+        curves = aalen_johansen(cohort)
+        assert np.abs(curves.aj_cif.sum(axis=0) + curves.km_survival - 1.0).max() <= 1e-12
+        assert curves.aj_cif.max() <= 1.0
+
+    def test_uncensored_single_event_ends_at_one(self):
+        # float accumulation alone reaches 1.0000000000000002 on this cohort
+        curves = aalen_johansen(make_cohort(np.arange(1.0, 19.0), np.ones(18), k=1))
+        assert curves.aj_cif[0, -1] == 1.0
+        assert np.all(np.diff(curves.aj_cif[0]) >= 0.0)
 
 
 class TestStepCurve:

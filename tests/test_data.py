@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from crcal.data import (
     CifBundle,
@@ -13,6 +16,85 @@ from crcal.data import (
     split_cohort,
 )
 from crcal.errors import ValidationError
+
+
+# ids the CSV writer emits unquoted and the parser reads back unchanged
+IDS = st.text(st.characters(codec="ascii", categories=("L", "N")) | st.sampled_from("_-."), min_size=1, max_size=8)
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def cohorts(draw):
+    n = draw(st.integers(1, 20))
+    k = draw(st.integers(1, 3))
+    d = draw(st.integers(0, 3))
+    return Cohort(
+        ids=tuple(draw(st.lists(IDS, min_size=n, max_size=n, unique=True))),
+        times=draw(hnp.arrays(float, n, elements=st.floats(0.0, allow_infinity=False))),
+        events=draw(hnp.arrays(np.int64, n, elements=st.integers(0, k))),
+        k_events=k,
+        covariates=draw(hnp.arrays(float, (n, d), elements=FLOATS)) if d else None,
+    )
+
+
+@st.composite
+def bundles(draw):
+    """Valid bundles with arbitrary float values: a sorted draw per
+    (sample, event), divided by K so the event sums stay at most one."""
+    n, k, d = draw(st.integers(1, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    times = draw(hnp.arrays(float, d, elements=st.floats(1e-300, 1e300), unique=True))
+    values = np.sort(draw(hnp.arrays(float, (n, k, d), elements=st.floats(0.0, 1.0))), axis=2) / k
+    values[:, :, -1] = np.maximum(values[:, :, -1], 0.5 / k)
+    ids = tuple(draw(st.lists(IDS, min_size=n, max_size=n, unique=True)))
+    return CifBundle(TimeGrid(np.sort(times)), values, ids)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+# CSV-like text: header lines of either file, numbers, separators, quotes and
+# bare carriage returns inside fields
+CSV_TEXT = st.lists(
+    st.sampled_from(["id,time,event", "sample_id,event,time,cif", ",", "\n", "\r", '"', "1", "0.5", "-2", "nan",
+                     "inf", "x", " ", "1e400", "\x00"]) | st.text(max_size=5),
+    max_size=30,
+).map("".join)
+
+
+class TestParsersOnArbitraryText:
+    @given(CSV_TEXT, st.integers(1, 3))
+    def test_only_validation_errors(self, text, k):
+        for parse in (parse_cohort, parse_bundle):
+            try:
+                parse(text, k_events=k)
+            except ValidationError:
+                pass
+
+    @pytest.mark.parametrize("parse, header", [(parse_cohort, "id,time,event"), (parse_bundle, "sample_id,event,time,cif")])
+    def test_bare_carriage_return_in_field(self, parse, header):
+        with pytest.raises(ValidationError, match="line 2"):
+            parse(header + "\n1,1\rx,1\n", k_events=1)
+
+
+class TestRoundTripProperty:
+    @given(cohorts())
+    def test_cohort_bit_exact(self, cohort):
+        again = parse_cohort(cohort_to_csv(cohort), cohort.k_events)
+        assert again.ids == cohort.ids
+        assert bits(again.times) == bits(cohort.times)
+        assert np.array_equal(again.events, cohort.events)
+        if cohort.covariates is None:
+            assert again.covariates is None
+        else:
+            assert bits(again.covariates) == bits(cohort.covariates)
+
+    @given(bundles())
+    def test_bundle_bit_exact(self, bundle):
+        again = parse_bundle(bundle_to_csv(bundle), bundle.k_events)
+        assert again.sample_ids == bundle.sample_ids
+        assert bits(again.grid.times) == bits(bundle.grid.times)
+        assert bits(again.values) == bits(bundle.values)
 
 
 class TestParseCohort:
@@ -122,6 +204,20 @@ class TestBundleEvaluation:
     def test_step_interpolation(self):
         out = self.bundle.values_at(np.array([0.5, 1.0, 1.5, 3.0, 9.0]))
         assert out[0, 0].tolist() == [0.0, 0.1, 0.1, 0.2, 0.4]
+
+    @given(st.integers(1, 300), st.integers(1, 3), st.integers(1, 6), st.integers(0, 2**32 - 1), st.data())
+    def test_mean_at_matches_mean_of_values_at(self, n, k, d, seed, data):
+        # n reaches the sizes where numpy's pairwise summation differs from
+        # adding the samples in order
+        rng = np.random.default_rng(seed)
+        grid = np.cumsum(rng.uniform(0.1, 1.0, d))
+        values = np.sort(rng.uniform(0.0, 0.9 / k, (n, k, d)), axis=2)
+        values[:, :, -1] += 1e-3
+        bundle = CifBundle(TimeGrid(grid), values, tuple(str(i) for i in range(n)))
+        between = (grid[:-1] + grid[1:]) / 2
+        pool = np.concatenate(([grid[0] / 2, 0.0], grid, between, [grid[-1] * 1.5]))
+        t = np.asarray(data.draw(st.lists(st.sampled_from(pool.tolist()), min_size=1, max_size=8)))
+        assert np.array_equal(bundle.mean_at(t), bundle.values_at(t).mean(axis=0))
 
     def test_survival_at_own_times(self):
         s = self.bundle.survival_at_own_times(np.array([2.5]))

@@ -141,8 +141,6 @@ def temperature_cases(draw):
     times = np.round(rng.uniform(0.2, 5.0, n), 1)
     events = rng.integers(0, k + 1, n)
     events[:k] = np.arange(1, k + 1)
-    # a censored last record keeps the AJ curves below one
-    times[-1], events[-1] = 5.0, 0
     cohort = make_cohort(times, events, k=k)
     grid = TimeGrid(BUNDLE_TIMES)
     if draw(st.booleans()):
@@ -231,6 +229,39 @@ class TestApplyOffsets:
         curves = aalen_johansen(cohort)
         per, total = pi_cal_alpha(recal, curves, MetricParams(), grid)
         assert total < 1e-9
+
+
+@st.composite
+def projection_inputs(draw):
+    """Shifted values of shape (n, K, d) anywhere in [-0.5, 1.5], or (with
+    ``valid``) values that already form a bundle with event sums at most one."""
+    n, k, d = draw(st.integers(1, 8)), draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    valid = draw(st.booleans())
+    if valid:
+        raw = np.cumsum(rng.uniform(0.0, 1.0, (n, k, d)), axis=2)
+        raw *= rng.uniform(0.0, 1.0, (n, 1, 1)) / raw[:, :, -1:].sum(axis=1, keepdims=True)
+        raw[rng.uniform(size=raw.shape) < 0.2] = 0.0
+        raw = np.maximum.accumulate(raw, axis=2)
+    else:
+        raw = rng.uniform(-0.5, 1.5, (n, k, d))
+    return raw, valid
+
+
+class TestFeasibleProjection:
+    @given(projection_inputs())
+    def test_yields_valid_values_and_is_identity_on_valid_input(self, case):
+        raw, valid = case
+        out, repairs = _feasible_projection(raw)
+        assert np.all((out >= 0.0) & (out <= 1.0))
+        assert np.all(np.diff(out, axis=2) >= 0.0)
+        assert np.all(out.sum(axis=1) <= 1.0)
+        if valid:
+            assert repairs == 0
+            assert np.array_equal(out, raw)
+        if np.all(out[:, :, -1] > 0.0):
+            grid = np.arange(1.0, raw.shape[2] + 1)
+            assert np.array_equal(make_bundle(grid, out).values, out)
 
 
 class TestTemperature:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import crcal.synthetic as syn
 from crcal.data import TimeGrid
@@ -22,6 +24,76 @@ def equal_shape_cif(lams, shape, k, t):
     F_k(t) = (L_k^-S / R) (1 - exp(-R t^S))."""
     rate = sum(l ** -shape for l in lams)
     return (lams[k] ** -shape / rate) * (1.0 - np.exp(-rate * t**shape))
+
+
+def buffered_f_nodes(lams, shapes, s, out, eos):
+    """Integrand values f_k at positive nodes, written into ``out``."""
+    sh = shapes[:, :, None]
+    with np.errstate(over="ignore"):
+        np.divide(s[:, None, :], lams[:, :, None], out=out)
+        np.power(out, sh, out=out)
+        np.minimum(out, 1e300, out=out)
+        out.sum(axis=1, out=eos)
+        np.minimum(eos, 745.0, out=eos)
+        np.negative(eos, out=eos)
+        np.exp(eos, out=eos)
+        eos /= s
+        out *= sh
+        out *= eos[:, None, :]
+    return out
+
+
+def f_and_fprime(lams, shapes, s):
+    """Integrands f_k(s) and derivatives f_k'(s) at positive nodes, with
+    f_k' = f_k ((S_k - 1) - sum_j S_j P_j) / s and P_j = (s / L_j)^(S_j)."""
+    sh = shapes[:, :, None]
+    with np.errstate(over="ignore"):
+        p = s[:, None, :] / lams[:, :, None]
+        np.power(p, sh, out=p)
+        np.minimum(p, 1e300, out=p)
+        eos = p.sum(axis=1)
+        np.minimum(eos, 745.0, out=eos)
+        np.negative(eos, out=eos)
+        np.exp(eos, out=eos)
+        eos /= s
+        p *= sh
+        f = p * eos[:, None, :]
+        qs = p.sum(axis=1)
+        fp = p
+        np.subtract(sh - 1.0, qs[:, None, :], out=fp)
+        fp *= f
+        fp /= s[:, None, :]
+    return f, fp
+
+
+@st.composite
+def integrand_nodes(draw):
+    """Weibull parameters of c samples and K events with positive nodes that
+    run from the clamped origin 1e-300 to far past the survival support."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c, k, m = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(3, 40))
+    lams = rng.uniform(0.4, 3.0, (c, k))
+    shapes = rng.uniform(1.0, 20.0, (c, k))
+    s = np.sort(np.exp(rng.uniform(np.log(1e-6), np.log(10.0), (c, m))), axis=1)
+    s[:, 0], s[:, -1] = 1e-300, 1e20
+    return lams, shapes, s
+
+
+class TestIntegrandKernel:
+    @given(integrand_nodes())
+    def test_matches_old_kernels(self, case):
+        lams, shapes, s = case
+        c, k = lams.shape
+        qs = np.empty_like(s)
+        f = syn._integrand(lams, shapes, s, np.empty((c, k, s.shape[1])), np.empty_like(s), qs)
+        want_f, want_fp = f_and_fprime(lams, shapes, s)
+        assert np.array_equal(f, want_f)
+        assert np.array_equal(f, buffered_f_nodes(lams, shapes, s, np.empty_like(f), np.empty_like(s)))
+        assert np.array_equal(syn._integrand(lams, shapes, s, np.empty_like(f), np.empty_like(s)), want_f)
+        # the derivative the oracle's endpoint corrections form from the pair
+        with np.errstate(over="ignore"):
+            fp = (shapes[:, :, None] - 1.0 - qs[:, None, :]) * f / s[:, None, :]
+        assert np.array_equal(fp, want_fp)
 
 
 class TestGenerate:
