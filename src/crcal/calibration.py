@@ -9,7 +9,8 @@ normalized by the total predicted terminal mass. The marginal family
 compares the across-sample mean predicted CIF with a population-level
 plug-in curve (Aalen-Johansen) at every time, aggregated by a
 time-integrated alpha-norm. Each metric shares its input with its KS
-test: ``bucket_deviations`` for the first family, ``marginal_gaps`` here.
+test, one array over every event built in one pass per (bundle, cohort):
+``bucket_deviations`` for the first family, ``marginal_gaps`` here.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import MarginalCurveSet
-from .data import CifBundle, Cohort, TimeGrid
+from .data import CifBundle, Cohort, TimeGrid, check_aligned, check_event
 from .errors import NumericError, ValidationError
 
 INFINITY = math.inf
@@ -41,61 +42,38 @@ class MetricParams:
             raise ValidationError("rho_steps must be at least 10")
 
 
-def check_aligned(bundle: CifBundle, cohort: Cohort) -> None:
-    if bundle.sample_ids != cohort.ids:
-        raise ValidationError("bundle and cohort sample ids are misaligned")
-    if bundle.k_events != cohort.k_events:
-        raise ValidationError("bundle and cohort disagree on the number of events")
+def _bucket_masses(bundle: CifBundle, cohort: Cohort, rhos) -> np.ndarray:
+    """Bucket masses b_[0, rho] of every event at each rho, shape (K, len(rhos)).
 
-
-@dataclass(frozen=True)
-class _EventTerms:
-    """Per-event precomputation shared by every bucket evaluation."""
-
-    obs_sorted: np.ndarray       # sorted ratios of samples with event k
-    cens_sorted: np.ndarray      # sorted ratios of censored samples
-    prefix_finf: np.ndarray      # cumsum of F_inf/S in that order, leading 0
-    prefix_ft: np.ndarray        # cumsum of F_t/S in that order, leading 0
-    denom: float                 # sum over all samples of F_k(t_max)
-
-
-def _event_terms(bundle: CifBundle, cohort: Cohort, k: int) -> _EventTerms:
-    if not 1 <= k <= cohort.k_events:
-        raise ValidationError(f"event {k} out of range 1..{cohort.k_events}")
+    One gather of each sample's CIFs at its own time and one check of the
+    implied survival of the censored samples serve every event.
+    """
+    check_aligned(bundle, cohort)
+    rhos = np.asarray(rhos, dtype=float)
     own = bundle.values_at_own_times(cohort.times)
-    f_t = own[:, k - 1]
-    f_inf = bundle.terminal()[:, k - 1]
-    ratio = f_t / f_inf
-    obs_sorted = np.sort(ratio[cohort.events == k])
     cens = cohort.events == 0
-    if cens.any():
-        surv = (1.0 - own.sum(axis=1))[cens]
-        if np.any(surv <= SURVIVAL_FLOOR):
-            bad = np.flatnonzero(cens)[np.argmin(surv)]
-            raise NumericError(
-                f"predicted survival at the censoring time of sample "
-                f"{cohort.ids[bad]!r} is below {SURVIVAL_FLOOR}; the censored-mass "
-                "adjustment is undefined for this bundle"
-            )
-        order = np.argsort(ratio[cens], kind="stable")
-        cens_sorted = ratio[cens][order]
-        finf_over_s = (f_inf[cens] / surv)[order]
-        ft_over_s = (f_t[cens] / surv)[order]
-        prefix_finf = np.concatenate(([0.0], np.cumsum(finf_over_s)))
-        prefix_ft = np.concatenate(([0.0], np.cumsum(ft_over_s)))
-    else:
-        cens_sorted = np.empty(0)
-        prefix_finf = np.zeros(1)
-        prefix_ft = np.zeros(1)
-    return _EventTerms(obs_sorted, cens_sorted, prefix_finf, prefix_ft, float(f_inf.sum()))
-
-
-def _bucket_bulk(terms: _EventTerms, rhos: np.ndarray) -> np.ndarray:
-    """Bucket masses b_[0, rho] for an array of rho values."""
-    count = np.searchsorted(terms.obs_sorted, rhos, side="right")
-    j = np.searchsorted(terms.cens_sorted, rhos, side="right")
-    cens_sum = rhos * terms.prefix_finf[j] - terms.prefix_ft[j]
-    return (count + cens_sum) / terms.denom
+    surv = (1.0 - own.sum(axis=1))[cens]
+    if np.any(surv <= SURVIVAL_FLOOR):
+        bad = np.flatnonzero(cens)[np.argmin(surv)]
+        raise NumericError(
+            f"predicted survival at the censoring time of sample "
+            f"{cohort.ids[bad]!r} is below {SURVIVAL_FLOOR}; the censored-mass "
+            "adjustment is undefined for this bundle"
+        )
+    f_inf = bundle.terminal()
+    ratios = own / f_inf
+    finf_over_s = f_inf[cens] / surv[:, None]
+    ft_over_s = own[cens] / surv[:, None]
+    out = np.empty((bundle.k_events, rhos.size))
+    for k in range(bundle.k_events):
+        # censored samples in ratio order, with prefix sums of F_inf/S and F_t/S
+        order = np.argsort(ratios[cens, k], kind="stable")
+        prefix_finf = np.concatenate(([0.0], np.cumsum(finf_over_s[order, k])))
+        prefix_ft = np.concatenate(([0.0], np.cumsum(ft_over_s[order, k])))
+        j = np.searchsorted(ratios[cens, k][order], rhos, side="right")
+        count = np.searchsorted(np.sort(ratios[cohort.events == k + 1, k]), rhos, side="right")
+        out[k] = (count + (rhos * prefix_finf[j] - prefix_ft[j])) / float(f_inf[:, k].sum())
+    return out
 
 
 def bucket_mass(bundle: CifBundle, cohort: Cohort, k: int, rho: float) -> float:
@@ -106,53 +84,55 @@ def bucket_mass(bundle: CifBundle, cohort: Cohort, k: int, rho: float) -> float:
     censored samples whose ratio is at most rho, and divides by the total
     predicted terminal mass of event k.
     """
-    check_aligned(bundle, cohort)
     if not 0.0 <= rho <= 1.0:
         raise ValidationError("rho must lie in [0, 1]")
-    terms = _event_terms(bundle, cohort, k)
-    return float(_bucket_bulk(terms, np.asarray([rho]))[0])
+    check_event(k, cohort.k_events)
+    return float(_bucket_masses(bundle, cohort, [rho])[k - 1, 0])
 
 
 def interval_bucket(bundle: CifBundle, cohort: Cohort, k: int, a: float, b: float) -> float:
     """Bucket mass of the interval [a, b], b_[0,b] - b_[0,a]."""
     if not 0.0 <= a < b <= 1.0:
         raise ValidationError("need 0 <= a < b <= 1")
-    check_aligned(bundle, cohort)
-    terms = _event_terms(bundle, cohort, k)
-    lo, hi = _bucket_bulk(terms, np.asarray([a, b]))
+    check_event(k, cohort.k_events)
+    lo, hi = _bucket_masses(bundle, cohort, [a, b])[k - 1]
     return float(hi - lo)
 
 
-def bucket_deviations(bundle: CifBundle, cohort: Cohort, k: int, rho_steps: int) -> np.ndarray:
-    """Deviations b_[0, j/M] - j/M on the Riemann grid j = 1..M.
+def bucket_deviations(bundle: CifBundle, cohort: Cohort, rho_steps: int) -> np.ndarray:
+    """Deviations b_[0, j/M] - j/M of every event on the Riemann grid
+    j = 1..M, shape (K, M).
 
     This array is the common input of the distribution-calibration metric
     and its KS test, so the two stay exactly consistent.
     """
-    check_aligned(bundle, cohort)
-    terms = _event_terms(bundle, cohort, k)
     rhos = np.arange(1, rho_steps + 1) / rho_steps
-    return _bucket_bulk(terms, rhos) - rhos
+    return _bucket_masses(bundle, cohort, rhos) - rhos
+
+
+def _alpha_norms(rows: np.ndarray, alpha: float, integral) -> tuple[dict[int, float], float]:
+    """Per-event integral(row**alpha) ** (1/alpha) of nonnegative rows (the
+    row maximum when alpha is INFINITY), and their sum over events."""
+    per_event = {
+        k: float(row.max() if math.isinf(alpha) else integral(row**alpha) ** (1.0 / alpha))
+        for k, row in enumerate(rows, start=1)
+    }
+    return per_event, float(sum(per_event.values()))
+
+
+def d_hat_from_deviations(devs: np.ndarray, alpha: float) -> tuple[dict[int, float], float]:
+    """Distribution-calibration estimate per event and in total from the
+    (K, M) bucket deviations: per event, the alpha-norm Riemann mean of the
+    absolute deviations (the maximum when alpha is INFINITY)."""
+    return _alpha_norms(np.abs(devs), alpha, np.mean)
 
 
 def cr_d_hat(
     bundle: CifBundle, cohort: Cohort, params: MetricParams = MetricParams()
 ) -> tuple[dict[int, float], float]:
-    """Distribution-calibration estimate per event and in total.
-
-    Per event, the absolute bucket deviations over the rho grid are
-    aggregated by the alpha-norm Riemann mean (the maximum when alpha is
-    INFINITY); the total is the sum over events.
-    """
-    check_aligned(bundle, cohort)
-    per_event: dict[int, float] = {}
-    for k in range(1, cohort.k_events + 1):
-        devs = np.abs(bucket_deviations(bundle, cohort, k, params.rho_steps))
-        if math.isinf(params.alpha):
-            per_event[k] = float(devs.max())
-        else:
-            per_event[k] = float(np.mean(devs**params.alpha) ** (1.0 / params.alpha))
-    return per_event, float(sum(per_event.values()))
+    """Distribution-calibration estimate per event and in total, the
+    ``d_hat_from_deviations`` of ``bucket_deviations``."""
+    return d_hat_from_deviations(bucket_deviations(bundle, cohort, params.rho_steps), params.alpha)
 
 
 def marginal_gaps(bundle: CifBundle, marginal: MarginalCurveSet, taus) -> np.ndarray:
@@ -167,8 +147,7 @@ def pi_cal_tau(bundle: CifBundle, marginal: MarginalCurveSet, k: int, tau: float
     mean predicted CIF."""
     if tau > bundle.grid.t_max and (marginal.event_times.size == 0 or tau > marginal.event_times[-1]):
         raise ValidationError("tau is beyond both the bundle grid and the marginal support")
-    if not 1 <= k <= bundle.k_events:
-        raise ValidationError(f"event {k} out of range 1..{bundle.k_events}")
+    check_event(k, bundle.k_events)
     return float(marginal_gaps(bundle, marginal, [tau])[k - 1, 0])
 
 
@@ -188,10 +167,5 @@ def pi_cal_alpha(
     if grid.t_max > bundle.grid.t_max * (1 + 1e-12):
         raise ValidationError("integration grid extends past the bundle horizon")
     deltas = np.diff(np.concatenate(([0.0], grid.times)))
-    per_event: dict[int, float] = {}
-    for k, gaps in enumerate(marginal_gaps(bundle, marginal, grid.times), start=1):
-        if math.isinf(params.alpha):
-            per_event[k] = float(gaps.max())
-        else:
-            per_event[k] = float((gaps**params.alpha * deltas).sum() ** (1.0 / params.alpha))
-    return per_event, float(sum(per_event.values()))
+    gaps = marginal_gaps(bundle, marginal, grid.times)
+    return _alpha_norms(gaps, params.alpha, lambda powered: (powered * deltas).sum())

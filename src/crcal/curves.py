@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Cohort, CifBundle, TimeGrid, _fmt, step_indices
+from .data import Cohort, CifBundle, TimeGrid, _fmt, check_event, step_indices
 from .errors import ValidationError
 
 
@@ -81,8 +81,7 @@ class MarginalCurveSet:
         return StepCurve(self.event_times, self.km_survival, 1.0)
 
     def cif(self, k: int) -> StepCurve:
-        if not 1 <= k <= self.k_events:
-            raise ValidationError(f"event {k} out of range 1..{self.k_events}")
+        check_event(k, self.k_events)
         return StepCurve(self.event_times, self.aj_cif[k - 1], 0.0)
 
     def cifs_at(self, t) -> np.ndarray:

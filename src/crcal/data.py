@@ -209,6 +209,20 @@ class CifBundle:
         return self.values[:, :, -1]
 
 
+def check_event(k: int, k_events: int) -> None:
+    """Reject an event number outside 1..k_events."""
+    if not 1 <= k <= k_events:
+        raise ValidationError(f"event {k} out of range 1..{k_events}")
+
+
+def check_aligned(bundle: CifBundle, cohort: Cohort) -> None:
+    """Reject a bundle whose samples or event count differ from the cohort's."""
+    if bundle.sample_ids != cohort.ids:
+        raise ValidationError("bundle and cohort sample ids are misaligned")
+    if bundle.k_events != cohort.k_events:
+        raise ValidationError("bundle and cohort disagree on the number of events")
+
+
 def _csv_rows(csv_text: str):
     """Rows of CSV text; a malformed line raises ValidationError."""
     reader = csv.reader(io.StringIO(csv_text))

@@ -7,7 +7,8 @@ survival at the left limits), plus pairs where j fails earlier from a
 different event. Both weights are 2-D dominance sums over (time,
 prediction), so the index is computed by a merge sweep in O(n log^2 n)
 time and O(n) memory, where comparing every (case, sample) pair took
-O(cases * n) time and a 256 x n block of pair weights.
+O(cases * n) time and a 256 x n block of pair weights. ``c_indices``
+shares the per-cohort set-up among every event and horizon of one call.
 
 The Brier score reweights observed outcomes by the censoring survival so
 that censored mass does not bias the quadratic error, and the integrated
@@ -23,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import check_aligned
 from .curves import StepCurve, censoring_survival
-from .data import CifBundle, Cohort, TimeGrid, _fmt, step_indices
+from .data import CifBundle, Cohort, TimeGrid, _fmt, check_aligned, check_event, step_indices
 from .errors import NumericError, ValidationError
 
 @dataclass(frozen=True)
@@ -34,8 +34,6 @@ class EvaluationResult:
     c_index_mean: dict[int, float]
     brier: dict[int, dict[float, float]]
     ibs: float
-    mean_curves: np.ndarray
-    grid: TimeGrid
 
     def to_dict(self) -> dict:
         def fmt_map(m):
@@ -57,10 +55,9 @@ class EvaluationResult:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def cr_c_index(
-    cohort: Cohort, bundle: CifBundle, k: int, tau: float, censoring: StepCurve
-) -> float:
-    """Concordance for event k at horizon tau; NaN when no pair is usable.
+def c_indices(cohort: Cohort, bundle: CifBundle, taus, censoring: StepCurve) -> np.ndarray:
+    """Concordance of every event at every horizon in taus, shape
+    (K, len(taus)); NaN where no pair is usable.
 
     Informative cases are samples with an observed event k by tau. A pair
     (i, j) counts through the first weight when j outlasts i (or is
@@ -69,49 +66,61 @@ def cr_c_index(
     i to strictly exceed that of j at tau.
     """
     check_aligned(bundle, cohort)
-    if not 1 <= k <= cohort.k_events:
-        raise ValidationError(f"event {k} out of range 1..{cohort.k_events}")
-    if float(censoring.at_left(tau)) <= 0.0:
+    taus = np.asarray(taus, dtype=float)
+    if np.any(censoring.at_left(taus) <= 0.0):
         raise NumericError("censoring survival vanishes before the horizon; IPCW undefined")
     times, events = cohort.times, cohort.events
-    head = times <= tau
-    case = head & (events == k)
-    if not case.any():
-        return math.nan
-    preds = bundle.values_at(np.asarray([tau]))[:, k - 1, 0]
     t_unique, t_rank = np.unique(times, return_inverse=True)
-    p_rank = np.unique(preds, return_inverse=True)[1]
     inv_g = 1.0 / censoring.at_left(t_unique)
-    other = (events != 0) & (events != k)
     # per distinct time: records strictly later, censorings tied there, and
-    # the summed 1/G(t_j-) of other-cause failures up to and including it
+    # per event the summed 1/G(t_j-) of other-cause failures up to and including it
     d = t_unique.size
     later = times.size - np.cumsum(np.bincount(t_rank, minlength=d))
     tied = np.bincount(t_rank[events == 0], minlength=d)
-    earlier = np.cumsum(np.bincount(t_rank[other], weights=inv_g[t_rank[other]], minlength=d))
-    ci = t_rank[case]
-    w_first, w_second = inv_g[ci] ** 2, inv_g[ci]
-    denom = float(np.sum((later[ci] + tied[ci]) * w_first + earlier[ci] * w_second))
-    if denom == 0.0:
-        return math.nan
-    # records after tau outlast every case; the rest go through the sweep
-    numer = float(np.sum(np.searchsorted(np.sort(p_rank[~head]), p_rank[case]) * w_first))
-    n_data, n_case = int(head.sum()), int(ci.size)
-    # data items are the records up to tau, query items the cases; at a tied
-    # time failures come before the cases' queries and censorings after them
-    seq_key = 3 * np.concatenate((t_rank[head], ci))
-    seq_key[:n_data] += np.where(events[head] == 0, 2, 0)
-    seq_key[n_data:] += 1
-    # at a tied prediction the query ranks first, so ties never count
-    rank_key = 2 * np.concatenate((p_rank[head], p_rank[case]))
-    rank_key[:n_data] += 1
-    w = np.zeros((2, n_data + n_case))
-    w[0, :n_data] = 1.0
-    w[1, :n_data] = np.where(other[head], inv_g[t_rank[head]], 0.0)
-    s = np.zeros((2, n_data + n_case))
-    s[0, n_data:] = w_first
-    s[1, n_data:] = w_second
-    return (numer + _dominance_sum(seq_key, rank_key, w, s)) / denom
+    preds_at = bundle.values_at(taus)
+    out = np.full((cohort.k_events, taus.size), math.nan)
+    for k in range(1, cohort.k_events + 1):
+        other = (events != 0) & (events != k)
+        earlier = np.cumsum(np.bincount(t_rank[other], weights=inv_g[t_rank[other]], minlength=d))
+        for j, tau in enumerate(taus):
+            head = times <= tau
+            case = head & (events == k)
+            if not case.any():
+                continue
+            p_rank = np.unique(preds_at[:, k - 1, j], return_inverse=True)[1]
+            ci = t_rank[case]
+            w_first, w_second = inv_g[ci] ** 2, inv_g[ci]
+            denom = float(np.sum((later[ci] + tied[ci]) * w_first + earlier[ci] * w_second))
+            if denom == 0.0:
+                continue
+            # records after tau outlast every case; the rest go through the sweep
+            numer = float(np.sum(np.searchsorted(np.sort(p_rank[~head]), p_rank[case]) * w_first))
+            n_data, n_case = int(head.sum()), int(ci.size)
+            # data items are the records up to tau, query items the cases; at a tied
+            # time failures come before the cases' queries and censorings after them
+            seq_key = 3 * np.concatenate((t_rank[head], ci))
+            seq_key[:n_data] += np.where(events[head] == 0, 2, 0)
+            seq_key[n_data:] += 1
+            # at a tied prediction the query ranks first, so ties never count
+            rank_key = 2 * np.concatenate((p_rank[head], p_rank[case]))
+            rank_key[:n_data] += 1
+            w = np.zeros((2, n_data + n_case))
+            w[0, :n_data] = 1.0
+            w[1, :n_data] = np.where(other[head], inv_g[t_rank[head]], 0.0)
+            s = np.zeros((2, n_data + n_case))
+            s[0, n_data:] = w_first
+            s[1, n_data:] = w_second
+            out[k - 1, j] = (numer + _dominance_sum(seq_key, rank_key, w, s)) / denom
+    return out
+
+
+def cr_c_index(
+    cohort: Cohort, bundle: CifBundle, k: int, tau: float, censoring: StepCurve
+) -> float:
+    """Concordance for event k at horizon tau; NaN when no pair is usable.
+    One entry of ``c_indices``."""
+    check_event(k, cohort.k_events)
+    return float(c_indices(cohort, bundle, [tau], censoring)[k - 1, 0])
 
 
 def _dominance_sum(seq_key: np.ndarray, rank_key: np.ndarray, w: np.ndarray, s: np.ndarray) -> float:
@@ -179,8 +188,7 @@ def brier_score(
     cohort: Cohort, bundle: CifBundle, k: int, tau: float, censoring: StepCurve
 ) -> float:
     """IPCW Brier score of event k at time tau."""
-    if not 1 <= k <= bundle.k_events:
-        raise ValidationError(f"event {k} out of range 1..{bundle.k_events}")
+    check_event(k, bundle.k_events)
     return float(brier_scores(cohort, bundle, [tau], censoring)[k - 1, 0])
 
 
@@ -227,8 +235,8 @@ def evaluate_bundle(
     bundle: CifBundle,
     horizons: list[float] | None = None,
 ) -> EvaluationResult:
-    """C-index at the requested horizons, Brier there too, IBS over the
-    IPCW-valid part of the bundle grid, and the mean incidence curves."""
+    """C-index and Brier score at the requested horizons, and the IBS over
+    the IPCW-valid part of the bundle grid."""
     check_aligned(bundle, cohort)
     censoring = censoring_survival(cohort)
     if horizons is None:
@@ -237,8 +245,8 @@ def evaluate_bundle(
         raise ValidationError("horizons must be finite and positive")
     c_index: dict[int, dict[float, float]] = {}
     c_mean: dict[int, float] = {}
-    for k in range(1, bundle.k_events + 1):
-        c_index[k] = {tau: cr_c_index(cohort, bundle, k, tau, censoring) for tau in horizons}
+    for k, row in enumerate(c_indices(cohort, bundle, horizons, censoring).tolist(), start=1):
+        c_index[k] = dict(zip(horizons, row))
         defined = [v for v in c_index[k].values() if not math.isnan(v)]
         c_mean[k] = float(np.mean(defined)) if defined else math.nan
     valid = bundle.grid.times[censoring.at(bundle.grid.times) > 0.0]
@@ -249,4 +257,4 @@ def evaluate_bundle(
     h = len(horizons)
     brier = {k: dict(zip(horizons, scores[k - 1, :h].tolist())) for k in c_index}
     ibs = _integrate(scores[:, h:], TimeGrid(valid))
-    return EvaluationResult(c_index, c_mean, brier, ibs, mean_incidence(bundle), bundle.grid)
+    return EvaluationResult(c_index, c_mean, brier, ibs)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .calibration import bucket_deviations, marginal_gaps
 from .curves import MarginalCurveSet
-from .data import CifBundle, Cohort
+from .data import CifBundle, Cohort, check_aligned
 from .errors import ValidationError
 
 _TERM_TOL = 1e-12
@@ -28,7 +28,6 @@ class TestResult:
     n_effective: int
     p_value: float
     passed: bool
-    level: float
     testable: bool = True
 
 
@@ -69,11 +68,36 @@ def ks_uniform(samples) -> tuple[float, float]:
     return d, kolmogorov_p(math.sqrt(n) * d)
 
 
-def _overall(results: dict[int, TestResult]) -> bool:
+def _verdicts(
+    stats: list[float | None], cohort: Cohort, level: float, warning: str
+) -> tuple[dict[int, TestResult], bool]:
+    """Per-event KS verdicts at level / K, and the family-wise verdict. An
+    event with no observed record or a None statistic is not testable: it
+    warns with ``warning`` formatted with k and is left out."""
+    if not 0.0 < level < 1.0:
+        raise ValidationError("level must lie in (0, 1)")
+    n_eff = np.bincount(cohort.events, minlength=cohort.k_events + 1)[1:].tolist()
+    results: dict[int, TestResult] = {}
+    for k, (stat, n) in enumerate(zip(stats, n_eff), start=1):
+        if stat is None or n == 0:
+            warnings.warn(warning.format(k=k))
+            results[k] = TestResult(math.nan, n, math.nan, False, testable=False)
+        else:
+            p = kolmogorov_p(math.sqrt(n) * stat)
+            results[k] = TestResult(stat, n, p, p >= level / cohort.k_events)
     testable = [r for r in results.values() if r.testable]
     if not testable:
         warnings.warn("no event was testable; overall verdict is vacuous")
-    return all(r.passed for r in testable)
+    return results, all(r.passed for r in testable)
+
+
+def d_cal_verdicts(
+    devs: np.ndarray, cohort: Cohort, level: float = 0.05
+) -> tuple[dict[int, TestResult], bool]:
+    """``d_cal_test`` on the (K, M) deviations of ``bucket_deviations``, so
+    that the metric and its test share one computation."""
+    stats = np.abs(devs).max(axis=1).tolist()
+    return _verdicts(stats, cohort, level, "event {k} has no observed occurrences; not testable")
 
 
 def d_cal_test(
@@ -85,21 +109,7 @@ def d_cal_test(
     grid, so censored mass enters exactly as in the metric; the effective
     sample size is the number of observed event-k records.
     """
-    if not 0.0 < level < 1.0:
-        raise ValidationError("level must lie in (0, 1)")
-    k_events = cohort.k_events
-    results: dict[int, TestResult] = {}
-    for k in range(1, k_events + 1):
-        n_eff = int((cohort.events == k).sum())
-        if n_eff == 0:
-            warnings.warn(f"event {k} has no observed occurrences; not testable")
-            results[k] = TestResult(math.nan, 0, math.nan, False, level, testable=False)
-            continue
-        devs = np.abs(bucket_deviations(bundle, cohort, k, rho_steps))
-        stat = float(devs.max())
-        p = kolmogorov_p(math.sqrt(n_eff) * stat)
-        results[k] = TestResult(stat, n_eff, p, p >= level / k_events, level)
-    return results, _overall(results)
+    return d_cal_verdicts(bucket_deviations(bundle, cohort, rho_steps), cohort, level)
 
 
 def pi_cal_test(
@@ -111,19 +121,8 @@ def pi_cal_test(
     statistic compares CDF-like functions on [0, 1]; the supremum is taken
     over the bundle grid.
     """
-    if not 0.0 < level < 1.0:
-        raise ValidationError("level must lie in (0, 1)")
-    k_events = cohort.k_events
+    check_aligned(bundle, cohort)
     gaps = marginal_gaps(bundle, marginal, bundle.grid.times)
-    results: dict[int, TestResult] = {}
-    for k in range(1, k_events + 1):
-        n_eff = int((cohort.events == k).sum())
-        terminal = float(marginal.cif(k).at(bundle.grid.t_max))
-        if terminal <= 0.0 or n_eff == 0:
-            warnings.warn(f"event {k} is not testable against the plug-in marginal")
-            results[k] = TestResult(math.nan, n_eff, math.nan, False, level, testable=False)
-            continue
-        stat = float(gaps[k - 1].max()) / terminal
-        p = kolmogorov_p(math.sqrt(n_eff) * stat)
-        results[k] = TestResult(stat, n_eff, p, p >= level / k_events, level)
-    return results, _overall(results)
+    terminals = marginal.cifs_at([bundle.grid.t_max])[:, 0].tolist()
+    stats = [float(row.max()) / t if t > 0.0 else None for row, t in zip(gaps, terminals)]
+    return _verdicts(stats, cohort, level, "event {k} is not testable against the plug-in marginal")

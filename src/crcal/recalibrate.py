@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import check_aligned
 from .curves import aalen_johansen
-from .data import CifBundle, Cohort, TimeGrid, step_indices
+from .data import CifBundle, Cohort, TimeGrid, check_aligned, check_event, step_indices
 from .errors import ValidationError
 
 AJ_OFFSET = "aj_offset"
@@ -106,8 +105,8 @@ def _feasible_projection(raw: np.ndarray) -> tuple[np.ndarray, int]:
     Forward pass over the grid: clip into [0, 1], lift below the running
     maximum, and scale down the per-time increments of any sample whose
     event sum would exceed one. Repaired sums land slightly below one so
-    the implied survival stays above the metrics' floor. Bitwise identity
-    with the input when nothing needs repair.
+    the implied survival stays above the metrics' floor. A sample that
+    needs no repair comes back bitwise unchanged.
     """
     n, k, d = raw.shape
     target = 1.0 - _SUM_HEADROOM
@@ -124,10 +123,10 @@ def _feasible_projection(raw: np.ndarray) -> tuple[np.ndarray, int]:
         total = lifted.sum(axis=1)
         over = total > 1.0
         if over.any():
-            gain = np.maximum(total - prev_total, 1e-300)
-            scale = np.where(over, np.clip((target - prev_total) / gain, 0.0, 1.0), 1.0)
-            lifted = prev + (lifted - prev) * scale[:, None]
-            total = lifted.sum(axis=1)
+            gain = np.maximum(total[over] - prev_total[over], 1e-300)
+            scale = np.clip((target - prev_total[over]) / gain, 0.0, 1.0)
+            lifted[over] = prev[over] + (lifted[over] - prev[over]) * scale[:, None]
+            total[over] = lifted[over].sum(axis=1)
             repairs += int(over.sum())
         out[:, :, j] = lifted
         prev = lifted
@@ -264,8 +263,7 @@ def upper_predictive_bound(
     """
     if not 0.0 < gamma < 1.0:
         raise ValidationError("gamma must lie in (0, 1)")
-    if not 1 <= k <= bundle.k_events:
-        raise ValidationError(f"event {k} out of range 1..{bundle.k_events}")
+    check_event(k, bundle.k_events)
     ratio = bundle.values[:, k - 1, :] / bundle.values[:, k - 1, -1:]
     hit = ratio >= 1.0 - gamma
     open_flag = ~hit.any(axis=1)

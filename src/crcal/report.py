@@ -6,11 +6,11 @@ import json
 import math
 from dataclasses import dataclass
 
-from .calibration import MetricParams, cr_d_hat, pi_cal_alpha
+from .calibration import MetricParams, bucket_deviations, d_hat_from_deviations, pi_cal_alpha
 from .curves import MarginalCurveSet, aalen_johansen
 from .data import CifBundle, Cohort, TimeGrid, quantile_grid
 from .errors import ValidationError
-from .kstests import TestResult, d_cal_test, pi_cal_test
+from .kstests import TestResult, d_cal_verdicts, pi_cal_test
 
 
 @dataclass(frozen=True)
@@ -99,9 +99,10 @@ def calibration_report(
         pi_grid = TimeGrid(pi_times) if pi_times.size else bundle.grid
     except ValidationError:
         pi_grid = bundle.grid
-    per_d, total_d = cr_d_hat(bundle, cohort, params)
+    devs = bucket_deviations(bundle, cohort, params.rho_steps)
+    per_d, total_d = d_hat_from_deviations(devs, params.alpha)
     per_pi, total_pi = pi_cal_alpha(bundle, marginal, params, pi_grid)
-    d_tests, d_overall = d_cal_test(bundle, cohort, level, params.rho_steps)
+    d_tests, d_overall = d_cal_verdicts(devs, cohort, level)
     pi_tests, pi_overall = pi_cal_test(bundle, marginal, cohort, level)
     return CalibrationReport(
         params=params,

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from crcal.data import CifBundle, Cohort, TimeGrid
 
@@ -44,3 +45,26 @@ def uniform_ratio_case(n):
         values[i, 0, -1] = 1.0
     bundle = make_bundle(grid, values)
     return cohort, bundle
+
+
+# few distinct values, so that times, censorings and predictions tie often
+TIMES = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
+
+
+@st.composite
+def scored_cohorts(draw):
+    """A cohort with K in {1, 2, 3} and a bundle on the grid (1, 2, 3) whose
+    CIFs climb in steps of 0, 0.05 or 0.1."""
+    k_events = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 24))
+    times = draw(st.lists(st.sampled_from(TIMES), min_size=n, max_size=n))
+    events = draw(st.lists(st.integers(0, k_events), min_size=n, max_size=n))
+    steps = np.array(
+        draw(st.lists(st.sampled_from([0.0, 0.05, 0.1]), min_size=n * k_events * 2, max_size=n * k_events * 2))
+    ).reshape(n, k_events, 2)
+    last = np.array(
+        draw(st.lists(st.sampled_from([0.05, 0.1]), min_size=n * k_events, max_size=n * k_events))
+    ).reshape(n, k_events, 1)
+    values = np.cumsum(np.concatenate((steps, last), axis=2), axis=2)
+    cohort = make_cohort(times, events, k=k_events)
+    return cohort, make_bundle([1.0, 2.0, 3.0], values, cohort.ids)

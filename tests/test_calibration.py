@@ -1,12 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import make_bundle, make_cohort, uniform_ratio_case
+from conftest import make_bundle, make_cohort, scored_cohorts, uniform_ratio_case
 
 from crcal.calibration import (
     INFINITY,
+    SURVIVAL_FLOOR,
     MetricParams,
     bucket_deviations,
     bucket_mass,
@@ -18,6 +22,8 @@ from crcal.calibration import (
 from crcal.curves import aalen_johansen, marginal_bundle
 from crcal.data import TimeGrid, quantile_grid
 from crcal.errors import NumericError, ValidationError
+from crcal.kstests import d_cal_test
+from crcal.report import calibration_report
 from crcal.synthetic import WeibullConfig, generate_cohort, oracle_bundle, survival_horizon
 
 
@@ -113,6 +119,33 @@ def literal_bucket(bundle, cohort, k, rho):
     return (count + cens) / f_inf.sum()
 
 
+def per_event_buckets(bundle, cohort, k, rhos):
+    """Bucket masses of one event at each rho, each event gathering the CIFs
+    at the samples' own times and checking the survival floor again."""
+    own = bundle.values_at_own_times(cohort.times)
+    f_t = own[:, k - 1]
+    f_inf = bundle.terminal()[:, k - 1]
+    ratio = f_t / f_inf
+    obs_sorted = np.sort(ratio[cohort.events == k])
+    cens = cohort.events == 0
+    if cens.any():
+        surv = (1.0 - own.sum(axis=1))[cens]
+        if np.any(surv <= SURVIVAL_FLOOR):
+            raise NumericError("predicted survival at a censoring time is below the floor")
+        order = np.argsort(ratio[cens], kind="stable")
+        cens_sorted = ratio[cens][order]
+        prefix_finf = np.concatenate(([0.0], np.cumsum((f_inf[cens] / surv)[order])))
+        prefix_ft = np.concatenate(([0.0], np.cumsum((f_t[cens] / surv)[order])))
+    else:
+        cens_sorted = np.empty(0)
+        prefix_finf = np.zeros(1)
+        prefix_ft = np.zeros(1)
+    count = np.searchsorted(obs_sorted, rhos, side="right")
+    j = np.searchsorted(cens_sorted, rhos, side="right")
+    cens_sum = rhos * prefix_finf[j] - prefix_ft[j]
+    return (count + cens_sum) / float(f_inf.sum())
+
+
 class TestBucketAgainstLiteralLoop:
     def test_matches_for_random_cases_and_rhos(self):
         rng = np.random.default_rng(17)
@@ -188,6 +221,38 @@ class TestCrDHat:
         mask = cohort.events == 1
         for rho in np.linspace(0, 1, 11):
             assert (r1[mask] <= rho).sum() == (r2[mask] <= rho).sum()
+
+
+class TestOneDeviationPass:
+    @given(scored_cohorts(), st.sampled_from([2.0, 3.5, INFINITY]), st.sampled_from([10, 37, 100]))
+    def test_report_matches_metric_test_and_per_event_reference_property(self, case, alpha, rho_steps):
+        cohort, bundle = case
+        params = MetricParams(alpha, rho_steps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rep = calibration_report(bundle, cohort, params)
+            tests, overall = d_cal_test(bundle, cohort, rho_steps=rho_steps)
+        per, total = cr_d_hat(bundle, cohort, params)
+        assert rep.per_event_d == per and rep.total_d == total  # bitwise
+        assert rep.d_overall == overall
+        devs = bucket_deviations(bundle, cohort, rho_steps)
+        assert devs.shape == (cohort.k_events, rho_steps)
+        rhos = np.arange(1, rho_steps + 1) / rho_steps
+        for k in range(1, cohort.k_events + 1):
+            want = per_event_buckets(bundle, cohort, k, rhos) - rhos
+            assert np.array_equal(devs[k - 1], want)
+            for rho in (0.0, 0.37, 1.0):
+                assert bucket_mass(bundle, cohort, k, rho) == float(per_event_buckets(bundle, cohort, k, rho))
+            absolute = np.abs(want)
+            norm = absolute.max() if math.isinf(alpha) else np.mean(absolute**alpha) ** (1.0 / alpha)
+            assert per[k] == float(norm)
+            got, ref = rep.d_tests[k], tests[k]
+            assert (got.n_effective, got.passed, got.testable) == (ref.n_effective, ref.passed, ref.testable)
+            if ref.testable:
+                assert got.statistic == ref.statistic == float(absolute.max())
+                assert got.p_value == ref.p_value
+            else:
+                assert math.isnan(got.statistic) and math.isnan(ref.statistic)
 
 
 class TestPiCal:

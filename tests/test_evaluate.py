@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_bundle, make_cohort
+from conftest import make_bundle, make_cohort, scored_cohorts
 
 from crcal.curves import censoring_survival
 from crcal.data import CifBundle, TimeGrid
 from crcal.errors import NumericError, ValidationError
 from crcal.evaluate import (
+    _dominance_sum,
     brier_score,
     brier_scores,
+    c_indices,
     cr_c_index,
     default_horizons,
     evaluate_bundle,
@@ -76,6 +78,46 @@ def blocked_c_index(cohort, bundle, k, tau, censoring, block=256):
     return numer / denom
 
 
+def per_call_c_index(cohort, bundle, k, tau, censoring):
+    """The O(n log^2 n) C-index of one (event, horizon) that redoes the
+    per-cohort set-up on every call."""
+    if float(censoring.at_left(tau)) <= 0.0:
+        raise NumericError("censoring survival vanishes before the horizon; IPCW undefined")
+    times, events = cohort.times, cohort.events
+    head = times <= tau
+    case = head & (events == k)
+    if not case.any():
+        return math.nan
+    preds = bundle.values_at(np.asarray([tau]))[:, k - 1, 0]
+    t_unique, t_rank = np.unique(times, return_inverse=True)
+    p_rank = np.unique(preds, return_inverse=True)[1]
+    inv_g = 1.0 / censoring.at_left(t_unique)
+    other = (events != 0) & (events != k)
+    d = t_unique.size
+    later = times.size - np.cumsum(np.bincount(t_rank, minlength=d))
+    tied = np.bincount(t_rank[events == 0], minlength=d)
+    earlier = np.cumsum(np.bincount(t_rank[other], weights=inv_g[t_rank[other]], minlength=d))
+    ci = t_rank[case]
+    w_first, w_second = inv_g[ci] ** 2, inv_g[ci]
+    denom = float(np.sum((later[ci] + tied[ci]) * w_first + earlier[ci] * w_second))
+    if denom == 0.0:
+        return math.nan
+    numer = float(np.sum(np.searchsorted(np.sort(p_rank[~head]), p_rank[case]) * w_first))
+    n_data, n_case = int(head.sum()), int(ci.size)
+    seq_key = 3 * np.concatenate((t_rank[head], ci))
+    seq_key[:n_data] += np.where(events[head] == 0, 2, 0)
+    seq_key[n_data:] += 1
+    rank_key = 2 * np.concatenate((p_rank[head], p_rank[case]))
+    rank_key[:n_data] += 1
+    w = np.zeros((2, n_data + n_case))
+    w[0, :n_data] = 1.0
+    w[1, :n_data] = np.where(other[head], inv_g[t_rank[head]], 0.0)
+    s = np.zeros((2, n_data + n_case))
+    s[0, n_data:] = w_first
+    s[1, n_data:] = w_second
+    return (numer + _dominance_sum(seq_key, rank_key, w, s)) / denom
+
+
 def per_tau_brier(cohort, bundle, k, tau, censoring):
     """IPCW Brier score of event k at one time, straight from the definition."""
     times, events = cohort.times, cohort.events
@@ -88,28 +130,7 @@ def per_tau_brier(cohort, bundle, k, tau, censoring):
     return float(np.mean(weights * (outcome - preds) ** 2))
 
 
-# few distinct values, so that times, censorings and predictions tie often
-TIMES = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
 TAUS = [0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
-
-
-@st.composite
-def scored_cohorts(draw):
-    """A cohort with K in {1, 2, 3} and a bundle on the grid (1, 2, 3) whose
-    CIFs climb in steps of 0, 0.05 or 0.1."""
-    k_events = draw(st.integers(1, 3))
-    n = draw(st.integers(1, 24))
-    times = draw(st.lists(st.sampled_from(TIMES), min_size=n, max_size=n))
-    events = draw(st.lists(st.integers(0, k_events), min_size=n, max_size=n))
-    steps = np.array(
-        draw(st.lists(st.sampled_from([0.0, 0.05, 0.1]), min_size=n * k_events * 2, max_size=n * k_events * 2))
-    ).reshape(n, k_events, 2)
-    last = np.array(
-        draw(st.lists(st.sampled_from([0.05, 0.1]), min_size=n * k_events, max_size=n * k_events))
-    ).reshape(n, k_events, 1)
-    values = np.cumsum(np.concatenate((steps, last), axis=2), axis=2)
-    cohort = make_cohort(times, events, k=k_events)
-    return cohort, make_bundle([1.0, 2.0, 3.0], values, cohort.ids)
 
 
 def prediction_bundle(preds_at_tau, grid_times, k=1):
@@ -371,6 +392,36 @@ class TestCIndexReferences:
                 assert math.isnan(got)
             else:
                 assert got == pytest.approx(want, rel=1e-12)
+
+
+class TestCIndexTable:
+    @given(scored_cohorts(), st.lists(st.sampled_from(TAUS), min_size=1, max_size=4))
+    def test_matches_per_call_reference_property(self, case, taus):
+        cohort, bundle = case
+        g = censoring_survival(cohort)
+        if np.any(g.at_left(taus) <= 0.0):
+            with pytest.raises(NumericError):
+                c_indices(cohort, bundle, taus, g)
+            return
+        table = c_indices(cohort, bundle, taus, g)
+        assert table.shape == (cohort.k_events, len(taus))
+        for k in range(1, cohort.k_events + 1):
+            for j, tau in enumerate(taus):
+                want = per_call_c_index(cohort, bundle, k, tau, g)
+                if math.isnan(want):
+                    assert math.isnan(table[k - 1, j])
+                else:
+                    assert table[k - 1, j] == want  # bitwise
+
+    def test_evaluate_bundle_matches_per_call_reference(self):
+        cohort, latents = generate_cohort(WeibullConfig(), 600, seed=16)
+        grid = TimeGrid(np.unique(np.quantile(cohort.times, [0.2, 0.4, 0.6, 0.8])))
+        bundle = square_distort(oracle_bundle(latents, grid, cohort.ids))
+        g = censoring_survival(cohort)
+        result = evaluate_bundle(cohort, bundle)
+        for k in (1, 2, 3):
+            for tau, value in result.c_index[k].items():
+                assert value == per_call_c_index(cohort, bundle, k, tau, g)
 
 
 class TestBrierPass:

@@ -142,6 +142,14 @@ class TestPiCalTest:
         assert results[1].p_value == pytest.approx(0.000671, abs=2e-6)
         assert not results[1].passed
 
+    def test_rejects_a_cohort_that_is_not_the_bundles(self):
+        cohort, curves, bundle = self._setup()
+        renamed = make_cohort(cohort.times, cohort.events, k=2, ids=[f"x{i}" for i in range(cohort.n)])
+        more_events = make_cohort(cohort.times, [1, 2, 3, 0, 2, 1], k=3)
+        for other in (renamed, more_events):
+            with pytest.raises(ValidationError, match="misaligned|disagree"):
+                pi_cal_test(bundle, curves, other)
+
     def test_zero_terminal_not_testable(self):
         cohort = make_cohort([1, 2, 3], [1, 1, 1], k=2)
         curves = aalen_johansen(cohort)

@@ -263,6 +263,23 @@ class TestFeasibleProjection:
             grid = np.arange(1.0, raw.shape[2] + 1)
             assert np.array_equal(make_bundle(grid, out).values, out)
 
+    def test_rescales_only_the_samples_over_one(self):
+        # only sample 0's event sum goes over one; the other samples are
+        # valid and must come back bitwise. 0.03 + (0.3 - 0.03) * 1.0 is not
+        # 0.3 in floating point, so a scale of 1.0 still moves a value
+        small = np.array([[[0.4, 0.6], [0.3, 0.6]], [[0.03, 0.3], [0.1, 0.2]]])
+        out, repairs = _feasible_projection(small)
+        assert repairs == 1
+        assert np.array_equal(out[1], small[1])
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            raw = np.sort(rng.uniform(0.0, 1.0 / 3.0, (6, 3, 4)), axis=2)
+            raw[0, :, 1:] *= 1.5
+            raw = np.maximum.accumulate(raw, axis=2)
+            out, repairs = _feasible_projection(raw)
+            assert np.all(out[0].sum(axis=0) <= 1.0)
+            assert np.array_equal(out[1:], raw[1:])
+
 
 class TestTemperature:
     def test_replicated_bundle_beta_one(self):
