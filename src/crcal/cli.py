@@ -30,7 +30,7 @@ from .data import (
 )
 from .errors import CrcalError, NumericError, ValidationError
 from .evaluate import evaluate_bundle, mean_incidence_csv
-from .recalibrate import apply_offsets, apply_temperature, fit_aj_offsets, fit_temperature
+from .recalibrate import RecalibratedBundle, apply_offsets, apply_temperature, fit_aj_offsets, fit_temperature
 from .report import calibration_report
 from .synthetic import (
     WeibullConfig,
@@ -121,25 +121,34 @@ def cmd_metrics(args) -> int:
     return 0
 
 
-def cmd_recalibrate(args) -> int:
-    cal_cohort = _load_cohort(args.cal_cohort, args.k_events)
-    cal_bundle = _load_bundle(args.cal_bundle, args.k_events)
-    test_bundle = _load_bundle(args.test_bundle, args.k_events)
-    grid_times = quantile_grid(cal_cohort, args.grid_size).times
+def _recalibrate(
+    method: str, cal_cohort: Cohort, cal_bundle: CifBundle, bundle: CifBundle, grid_size: int
+) -> tuple[dict, RecalibratedBundle]:
+    """Fit ``method`` ("aj" or "ts") on the cal split's duration quantiles inside the
+    bundle horizon and apply it; returns (map JSON with the repair count, bundle)."""
+    grid_times = quantile_grid(cal_cohort, grid_size).times
     grid_times = grid_times[grid_times <= cal_bundle.grid.t_max]
     if grid_times.size == 0:
         raise ValidationError("no calibration quantile falls inside the bundle horizon")
     grid = TimeGrid(grid_times)
-    if args.method == "aj":
+    if method == "aj":
         rmap = fit_aj_offsets(cal_cohort, cal_bundle, grid)
-        recal = apply_offsets(test_bundle, rmap)
+        recal = apply_offsets(bundle, rmap)
     else:
         rmap = fit_temperature(cal_cohort, cal_bundle, grid)
-        recal = apply_temperature(test_bundle, rmap)
+        recal = apply_temperature(bundle, rmap)
+    return {**rmap.to_dict(), "clip_events": recal.repairs}, recal
+
+
+def cmd_recalibrate(args) -> int:
+    cal_cohort = _load_cohort(args.cal_cohort, args.k_events)
+    cal_bundle = _load_bundle(args.cal_bundle, args.k_events)
+    test_bundle = _load_bundle(args.test_bundle, args.k_events)
+    fitted, recal = _recalibrate(args.method, cal_cohort, cal_bundle, test_bundle, args.grid_size)
     out = Path(args.out)
-    _write(out / "map.json", json.dumps(rmap.to_dict(), indent=2))
+    _write(out / "map.json", json.dumps(fitted, indent=2))
     _write(out / "recalibrated_bundle.csv", bundle_to_csv(recal))
-    print(f"method {args.method}: {rmap.clip_events} repaired entries -> {out}")
+    print(f"method {args.method}: {recal.repairs} repaired entries -> {out}")
     return 0
 
 
@@ -200,18 +209,15 @@ def _bench_seed(config: dict, seed: int, out_dir: Path) -> dict:
     else:
         raise ValidationError(f"unknown model {model!r}")
 
-    recal_times = quantile_grid(cal, grid_size).times
-    recal_times = recal_times[recal_times <= cal_bundle.grid.t_max]
-    recal_grid = TimeGrid(recal_times)
-    offsets = fit_aj_offsets(cal, cal_bundle, recal_grid)
-    aj_bundle = apply_offsets(test_bundle, offsets)
-    temps = fit_temperature(cal, cal_bundle, recal_grid)
-    ts_bundle = apply_temperature(test_bundle, temps)
+    variants = {"base": test_bundle}
+    for method in ("aj", "ts"):
+        fitted, variants[method] = _recalibrate(method, cal, cal_bundle, test_bundle, grid_size)
+        _write(out_dir / f"map_{method}.json", json.dumps(fitted, indent=2))
 
-    variants = {"base": test_bundle, "aj": aj_bundle, "ts": ts_bundle}
+    marginal = aalen_johansen(test)
     row: dict = {"seed": seed}
     for name, bundle in variants.items():
-        rep = calibration_report(bundle, test, config["params"], config["level"], seed)
+        rep = calibration_report(bundle, test, config["params"], config["level"], seed, marginal)
         ev = evaluate_bundle(test, bundle)
         combined = rep.to_dict()
         combined["evaluation"] = ev.to_dict()
@@ -224,8 +230,6 @@ def _bench_seed(config: dict, seed: int, out_dir: Path) -> dict:
             "ibs": ev.ibs,
             "c_index_mean": float(np.nanmean(list(ev.c_index_mean.values()))),
         }
-    _write(out_dir / "map_aj.json", json.dumps(offsets.to_dict(), indent=2))
-    _write(out_dir / "map_ts.json", json.dumps(temps.to_dict(), indent=2))
     splits = {
         "train_ids": list(train.ids),
         "cal_ids": list(cal.ids),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Cohort, CifBundle, TimeGrid, _fmt, check_event, step_indices
+from .data import Cohort, CifBundle, TimeGrid, _fmt, check_event, step_values
 from .errors import ValidationError
 
 
@@ -31,22 +31,19 @@ class StepCurve:
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "jump_times", jt)
         object.__setattr__(self, "values", vals)
-        if jt.shape != vals.shape or jt.ndim != 1:
-            raise ValidationError("jump_times and values must be aligned 1-D arrays")
-        if jt.size and np.any(np.diff(jt) <= 0):
+        if jt.shape != vals.shape or jt.ndim != 1 or not jt.size:
+            raise ValidationError("jump_times and values must be aligned, non-empty 1-D arrays")
+        if np.any(np.diff(jt) <= 0):
             raise ValidationError("jump times must be strictly increasing")
 
     def at(self, t) -> np.ndarray:
         """Value at time t (right-continuous)."""
-        padded = np.concatenate(([self.initial_value], self.values))
-        return padded[step_indices(self.jump_times, t) + 1]
+        return step_values(self.jump_times, self.values, t, self.initial_value)
 
     def at_left(self, t) -> np.ndarray:
         """Left limit, the value just before time t."""
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.jump_times, t, side="left") - 1
         padded = np.concatenate(([self.initial_value], self.values))
-        return padded[idx + 1]
+        return padded[np.searchsorted(self.jump_times, np.asarray(t, dtype=float), side="left")]
 
     def to_csv(self) -> str:
         lines = ["time,value", f"0,{_fmt(self.initial_value)}"]
@@ -86,8 +83,7 @@ class MarginalCurveSet:
 
     def cifs_at(self, t) -> np.ndarray:
         """Every event's incidence at times t (right-continuous), shape (K, len(t))."""
-        idx = step_indices(self.event_times, t)
-        return np.where(idx >= 0, self.aj_cif[:, np.maximum(idx, 0)], 0.0)
+        return step_values(self.event_times, self.aj_cif, t)
 
     @property
     def censoring(self) -> StepCurve:

@@ -126,6 +126,22 @@ def step_indices(grid_times: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.searchsorted(grid_times, np.asarray(t, dtype=float), side="right") - 1
 
 
+def step_values(grid_times: np.ndarray, values: np.ndarray, t, before: float = 0.0) -> np.ndarray:
+    """Right-continuous lookup of ``values`` (last axis on ``grid_times``) at t,
+    ``before`` ahead of the grid. Fancy indexing keeps times outermost in
+    memory, which fixes the summation order of a later mean over samples."""
+    idx = step_indices(grid_times, t)
+    return np.where(idx >= 0, values[..., np.maximum(idx, 0)], before)
+
+
+def _sample_mean(x: np.ndarray) -> np.ndarray:
+    """Sample mean of an (n, K, d) array in numpy's order for one time's (n, K)
+    slice, whatever the layout of x: pairwise for K = 1, row by row otherwise."""
+    if x.shape[1] == 1:
+        return np.ascontiguousarray(x.transpose(1, 2, 0)).mean(axis=2)
+    return np.ascontiguousarray(x).mean(axis=0)
+
+
 @dataclass(frozen=True)
 class CifBundle:
     """Per-sample, per-event CIF values on a common grid.
@@ -174,31 +190,21 @@ class CifBundle:
 
     def values_at(self, t: np.ndarray) -> np.ndarray:
         """Step-evaluate all CIFs at arbitrary times, shape (n, K, len(t))."""
-        idx = step_indices(self.grid.times, t)
-        out = np.where(idx[None, None, :] >= 0, self.values[:, :, np.maximum(idx, 0)], 0.0)
-        return out
+        return step_values(self.grid.times, self.values, t)
 
     def mean_at(self, t: np.ndarray) -> np.ndarray:
         """Across-sample mean CIFs at arbitrary times, shape (K, len(t)),
-        equal bitwise to ``values_at(t).mean(axis=0)``: numpy sums the
-        samples row by row, or pairwise for a lone event."""
-        idx = step_indices(self.grid.times, t)
-        if self.k_events == 1:
-            mean = np.ascontiguousarray(self.values.transpose(1, 2, 0)).mean(axis=2)
-        else:
-            mean = self.values.mean(axis=0)
-        return np.where(idx[None, :] >= 0, mean[:, np.maximum(idx, 0)], 0.0)
+        equal bitwise to ``values_at(t).mean(axis=0)``."""
+        return step_values(self.grid.times, _sample_mean(self.values), t)
 
     def values_at_own_times(self, t: np.ndarray) -> np.ndarray:
         """Step-evaluate each sample's CIFs at its own time, shape (n, K)."""
         t = np.asarray(t, dtype=float)
         if t.shape != (self.n,):
             raise ValidationError("per-sample times must align with bundle samples")
-        idx = step_indices(self.grid.times, t)
-        rows = np.arange(self.n)[:, None]
-        cols = np.arange(self.k_events)[None, :]
-        picked = self.values[rows, cols, np.maximum(idx, 0)[:, None]]
-        return np.where(idx[:, None] >= 0, picked, 0.0)
+        idx = step_indices(self.grid.times, t)[:, None, None]
+        picked = np.take_along_axis(self.values, np.maximum(idx, 0), axis=2)
+        return np.where(idx >= 0, picked, 0.0)[:, :, 0]
 
     def survival_at_own_times(self, t: np.ndarray) -> np.ndarray:
         """Implied survival 1 - sum_k F_k at each sample's own time."""

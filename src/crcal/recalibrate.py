@@ -10,10 +10,12 @@ so each recalibrated vector sums to one), that minimizes the summed
 marginal gaps; one batched search fits all grid times together in a few
 (K+1) x n x d float64 arrays.
 
-Recalibrated values are projected back onto the feasible set (values in
-[0, 1], nondecreasing in time, event sum at most one) and every repaired
-entry is counted in ``clip_events``; the exactness guarantees (mean match,
-rank preservation) hold only for applications that needed no repair.
+A fitted map is immutable and can be applied to any number of bundles.
+Each application projects its values back onto the feasible set (values
+in [0, 1], nondecreasing in time, event sum at most one) and returns a
+:class:`RecalibratedBundle` whose ``repairs`` counts the entries it had to
+repair; the exactness guarantees (mean match, rank preservation) hold only
+for an application with zero repairs.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import aalen_johansen
-from .data import CifBundle, Cohort, TimeGrid, check_aligned, check_event, step_indices
+from .data import CifBundle, Cohort, TimeGrid, _sample_mean, check_aligned, check_event, step_values
 from .errors import ValidationError
 
 AJ_OFFSET = "aj_offset"
@@ -35,20 +37,15 @@ _BETA_GRID = np.logspace(-3.0, 3.0, 61)
 _IDENTITY_SLACK = 1e-10
 
 
-@dataclass
+@dataclass(frozen=True)
 class RecalibrationMap:
     """Fitted correction: per-time offsets (with a survival row 0) for the
-    additive method, or per-time temperatures for power scaling.
-
-    ``clip_events`` records how many entries the most recent application
-    had to repair to stay a valid bundle.
-    """
+    additive method, or per-time temperatures for power scaling."""
 
     method: str
     grid: TimeGrid
     offsets: np.ndarray | None = None
     temperatures: np.ndarray | None = None
-    clip_events: int = 0
 
     def __post_init__(self):
         if self.method not in (AJ_OFFSET, TEMPERATURE):
@@ -70,8 +67,15 @@ class RecalibrationMap:
             out["offsets"] = self.offsets.tolist()
         if self.temperatures is not None:
             out["temperatures"] = self.temperatures.tolist()
-        out["clip_events"] = self.clip_events
         return out
+
+
+@dataclass(frozen=True)
+class RecalibratedBundle(CifBundle):
+    """A bundle produced by applying a map; ``repairs`` counts the entries
+    the application had to repair to keep it a valid bundle."""
+
+    repairs: int = 0
 
 
 def _check_fit_inputs(cal_cohort: Cohort, cal_bundle: CifBundle, grid: TimeGrid):
@@ -134,23 +138,19 @@ def _feasible_projection(raw: np.ndarray) -> tuple[np.ndarray, int]:
     return out, repairs
 
 
-def apply_offsets(bundle: CifBundle, rmap: RecalibrationMap) -> CifBundle:
+def apply_offsets(bundle: CifBundle, rmap: RecalibrationMap) -> RecalibratedBundle:
     """Shift a bundle by fitted offsets, step-extended over its grid.
 
-    Before the first offset time no correction applies. Repairs are
-    counted into ``rmap.clip_events``; with zero repairs the output equals
-    the plain shift bitwise.
+    Before the first offset time no correction applies. The result carries
+    its repair count; with zero repairs it equals the plain shift bitwise.
     """
     if rmap.method != AJ_OFFSET:
         raise ValidationError("map method mismatch: expected additive offsets")
     if bundle.k_events + 1 != rmap.offsets.shape[0]:
         raise ValidationError("offset rows do not match the bundle events")
-    idx = step_indices(rmap.grid.times, bundle.grid.times)
-    shift = np.where(idx[None, :] >= 0, rmap.offsets[1:, np.maximum(idx, 0)], 0.0)
-    raw = bundle.values + shift[None, :, :]
-    values, repairs = _feasible_projection(raw)
-    rmap.clip_events = repairs
-    return CifBundle(bundle.grid, values, bundle.sample_ids)
+    shift = step_values(rmap.grid.times, rmap.offsets[1:], bundle.grid.times)
+    values, repairs = _feasible_projection(bundle.values + shift[None, :, :])
+    return RecalibratedBundle(bundle.grid, values, bundle.sample_ids, repairs)
 
 
 def _normalized_vectors(bundle: CifBundle, taus: np.ndarray) -> np.ndarray:
@@ -191,13 +191,7 @@ def fit_temperature(cal_cohort: Cohort, cal_bundle: CifBundle, grid: TimeGrid) -
     log_p = np.log(_normalized_vectors(cal_bundle, grid.times) + _LOGIT_EPS)
 
     def gap(beta) -> np.ndarray:
-        shares = _power_scale(log_p, beta)
-        # sum samples in the order numpy uses on one time's (n, K) slice (pairwise
-        # for K = 1, row by row otherwise), whatever times share the batch
-        if targets.shape[0] == 1:
-            means = np.ascontiguousarray(shares[0].T).mean(axis=1)
-        else:
-            means = np.ascontiguousarray(shares.transpose(1, 0, 2)).mean(axis=0)
+        means = _sample_mean(_power_scale(log_p, beta).transpose(1, 0, 2))
         return np.abs(means - targets).sum(axis=0)
 
     def gap_at_log(lb: np.ndarray) -> np.ndarray:
@@ -226,18 +220,18 @@ def fit_temperature(cal_cohort: Cohort, cal_bundle: CifBundle, grid: TimeGrid) -
     return RecalibrationMap(TEMPERATURE, grid, temperatures=betas)
 
 
-def apply_temperature(bundle: CifBundle, rmap: RecalibrationMap) -> CifBundle:
+def apply_temperature(bundle: CifBundle, rmap: RecalibrationMap) -> RecalibratedBundle:
     """Rescale each sample's probability vector with the fitted exponents.
 
     Beta is step-extended over the bundle grid and treated as 1 before the
     first fitted time; the event coordinates of the scaled vector become
     the new CIFs, then the feasibility projection restores monotonicity.
+    The result carries its repair count, saturated sums included.
     """
     if rmap.method != TEMPERATURE:
         raise ValidationError("map method mismatch: expected temperatures")
     taus = bundle.grid.times
-    idx = step_indices(rmap.grid.times, taus)
-    beta = np.where(idx >= 0, rmap.temperatures[np.maximum(idx, 0)], 1.0)
+    beta = step_values(rmap.grid.times, rmap.temperatures, taus, 1.0)
     log_p = np.log(_normalized_vectors(bundle, taus) + _LOGIT_EPS)
     events = np.ascontiguousarray(_power_scale(log_p, beta).transpose(1, 0, 2))
     # an underflowed survival coordinate would leave the event sum at
@@ -249,8 +243,7 @@ def apply_temperature(bundle: CifBundle, rmap: RecalibrationMap) -> CifBundle:
         factor = (1.0 - _SUM_HEADROOM) / np.where(saturated, sums, 1.0)
         events = np.where(saturated, events * factor, events)
     values, repairs = _feasible_projection(events)
-    rmap.clip_events = repairs + extra
-    return CifBundle(bundle.grid, values, bundle.sample_ids)
+    return RecalibratedBundle(bundle.grid, values, bundle.sample_ids, repairs + extra)
 
 
 def upper_predictive_bound(

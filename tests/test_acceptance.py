@@ -143,7 +143,7 @@ def test_04_c_index_invariance(capsys):
         model = CifBundle(grid, oracle.values * 0.7, cohort.ids)
         rmap = fit_aj_offsets(cohort, model, grid)
         recal = apply_offsets(model, rmap)
-        if rmap.clip_events != 0:
+        if recal.repairs != 0:
             all_zero_clip = False
             continue
         sub = np.arange(0, cohort.n, 5)[:1500]

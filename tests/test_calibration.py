@@ -88,6 +88,24 @@ class TestBucketMass:
             assert bucket_mass(bundle, cohort, 1, 1.0) == pytest.approx(expected, rel=1e-12)
 
 
+class TestBucketMassProperties:
+    @given(scored_cohorts(), st.lists(st.floats(0.0, 1.0), min_size=2, max_size=12))
+    def test_monotone_in_rho_property(self, case, rhos):
+        cohort, bundle = case
+        rhos = sorted(rhos)
+        for k in range(1, cohort.k_events + 1):
+            masses = [bucket_mass(bundle, cohort, k, rho) for rho in rhos]
+            assert np.all(np.diff(masses) >= -1e-12)
+
+    @given(scored_cohorts(), st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3, unique=True))
+    def test_interval_buckets_telescope_property(self, case, cuts):
+        cohort, bundle = case
+        a, b, c = sorted(cuts)
+        for k in range(1, cohort.k_events + 1):
+            joined = interval_bucket(bundle, cohort, k, a, b) + interval_bucket(bundle, cohort, k, b, c)
+            assert joined == pytest.approx(interval_bucket(bundle, cohort, k, a, c), rel=0.0, abs=1e-12)
+
+
 def random_case(rng, n=None, k=2):
     """Random small cohort and compatible bundle with censoring."""
     n = n or int(rng.integers(3, 40))

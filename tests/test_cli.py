@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from crcal.cli import main
+from crcal.data import CifBundle, TimeGrid, bundle_to_csv, parse_cohort
 
 
 def run(argv):
@@ -134,6 +135,44 @@ class TestRecalibrateAndEvaluate:
         rmap = json.loads((tmp_path / f"recal_{method}" / "map.json").read_text())
         assert rmap["method"] == ("aj_offset" if method == "aj" else "temperature")
         assert (tmp_path / f"recal_{method}" / "recalibrated_bundle.csv").exists()
+
+    @pytest.mark.parametrize("method", ["aj", "ts"])
+    def test_map_json_carries_the_printed_repair_count(self, tmp_path, capsys, method):
+        self._setup(tmp_path)
+        out = tmp_path / f"recal_{method}"
+        code = run(
+            [
+                "recalibrate",
+                "--method", method,
+                "--cal-cohort", tmp_path / "cohort.csv",
+                "--cal-bundle", tmp_path / "aj_bundle.csv",
+                "--test-bundle", tmp_path / "oracle_bundle.csv",
+                "--out", out,
+            ]
+        )
+        assert code == 0
+        rmap = json.loads((out / "map.json").read_text())
+        assert list(rmap) == ["method", "grid", "offsets" if method == "aj" else "temperatures", "clip_events"]
+        assert f"method {method}: {rmap['clip_events']} repaired entries" in capsys.readouterr().out
+
+    def test_recalibrate_rejects_a_bundle_ending_before_every_quantile(self, tmp_path, capsys):
+        self._setup(tmp_path)
+        cohort = parse_cohort((tmp_path / "cohort.csv").read_text(), 3)
+        early = TimeGrid(np.array([cohort.times.min() / 2]))
+        bundle = CifBundle(early, np.full((cohort.n, 3, 1), 0.1), cohort.ids)
+        (tmp_path / "early.csv").write_text(bundle_to_csv(bundle))
+        code = run(
+            [
+                "recalibrate",
+                "--method", "aj",
+                "--cal-cohort", tmp_path / "cohort.csv",
+                "--cal-bundle", tmp_path / "early.csv",
+                "--test-bundle", tmp_path / "early.csv",
+                "--out", tmp_path / "recal",
+            ]
+        )
+        assert code == 2
+        assert "no calibration quantile falls inside the bundle horizon" in capsys.readouterr().err
 
     def test_evaluate(self, tmp_path):
         self._setup(tmp_path)

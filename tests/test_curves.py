@@ -177,6 +177,10 @@ class TestStepCurve:
         assert lines[1].startswith("0,")
         assert len(lines) == 4
 
+    def test_curve_without_jumps_rejected(self):
+        with pytest.raises(ValidationError, match="non-empty"):
+            StepCurve(np.array([]), np.array([]), 1.0)
+
 
 class TestMarginalBundle:
     def test_replication(self):

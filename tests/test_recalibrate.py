@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -188,7 +189,7 @@ class TestApplyOffsets:
         rmap = RecalibrationMap(AJ_OFFSET, grid, offsets=np.zeros((3, grid.d)))
         out = apply_offsets(bundle, rmap)
         assert np.array_equal(out.values, bundle.values)
-        assert rmap.clip_events == 0
+        assert out.repairs == 0
 
     def test_simple_shift(self):
         grid = TimeGrid(np.array([1.0]))
@@ -203,7 +204,7 @@ class TestApplyOffsets:
         rmap = RecalibrationMap(AJ_OFFSET, grid, offsets=np.array([[-0.1], [0.1]]))
         out = apply_offsets(bundle, rmap)
         assert out.values[0, 0, 0] == 1.0
-        assert rmap.clip_events >= 1
+        assert out.repairs >= 1
 
     def test_method_mismatch(self):
         grid = TimeGrid(np.array([1.0]))
@@ -225,7 +226,7 @@ class TestApplyOffsets:
         bundle = make_bundle(grid.times, oracle.values * 0.7, cohort.ids)
         rmap = fit_aj_offsets(cohort, bundle, grid)
         recal = apply_offsets(bundle, rmap)
-        assert rmap.clip_events == 0
+        assert recal.repairs == 0
         curves = aalen_johansen(cohort)
         per, total = pi_cal_alpha(recal, curves, MetricParams(), grid)
         assert total < 1e-9
@@ -359,7 +360,34 @@ class TestBatchedTemperature:
         values, repairs = sample_major_apply_temperature(bundle, rmap)
         assert np.array_equal(out.values, values)
         assert out.values.flags.c_contiguous
-        assert rmap.clip_events == repairs
+        assert out.repairs == repairs
+
+
+class TestFrozenMap:
+    @given(temperature_cases(), st.integers(0, 2**32 - 1), st.sampled_from(["aj", "ts"]))
+    def test_one_map_applied_to_two_bundles_property(self, case, seed, method):
+        cohort, bundle, grid = case
+        fit, apply = (fit_aj_offsets, apply_offsets) if method == "aj" else (fit_temperature, apply_temperature)
+        rmap = fit(cohort, bundle, grid)
+        # a second bundle on the same grid, every CIF scaled down
+        scale = np.random.default_rng(seed).uniform(0.5, 1.0, bundle.values.shape[:2] + (1,))
+        other = make_bundle(bundle.grid.times, bundle.values * scale, bundle.sample_ids)
+        fitted = rmap.offsets if method == "aj" else rmap.temperatures
+        kept = fitted.copy()
+
+        def outcome(target, fitted_map):
+            try:
+                return apply(target, fitted_map).repairs
+            except ValidationError as exc:  # a beta near 1e3 can underflow a terminal CIF to 0
+                return str(exc)
+
+        first, second = outcome(bundle, rmap), outcome(other, rmap)
+        # each count is the one the bundle gets from a map applied to it alone
+        assert first == outcome(bundle, fit(cohort, bundle, grid))
+        assert second == outcome(other, fit(cohort, bundle, grid))
+        assert np.array_equal(fitted, kept)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rmap.grid = TimeGrid(np.array([1.0]))
 
 
 class TestRecalibrationMap:

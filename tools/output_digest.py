@@ -15,8 +15,10 @@ moved, to the last bit. Each line is ``<label> <sha256>``. The set:
 - ``bench/<file>``: every file of a 2-seed ``crcal bench`` tree
   (n = 2000, distorted model, seed 3000);
 - ``files/<file>``: every file of the CLI pipeline simulate, aj
-  --replicate-for, recalibrate --method ts, metrics, evaluate
-  (n = 200 + 150, seeds 1000 and 2000).
+  --replicate-for, recalibrate --method ts, recalibrate --method aj (into
+  ``recal_aj/``), metrics, evaluate (n = 200 + 150, seeds 1000 and 2000);
+- ``stdout/recalibrate_<method>``: the line each recalibrate run prints,
+  which carries its repair count, with the scratch directory masked.
 
 Scratch files go to a temporary directory (``TMPDIR``) that is removed at
 the end.
@@ -77,11 +79,12 @@ def score_outputs() -> list[tuple[str, str]]:
 def cli_outputs(work: Path) -> list[tuple[str, str]]:
     from crcal import cli
 
-    def run(*argv: str) -> None:
-        with contextlib.redirect_stdout(io.StringIO()):
+    def run(*argv: str) -> str:
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
             rc = cli.main(list(argv))
         if rc != 0:
             raise SystemExit(f"crcal {argv[0]} exited with {rc}")
+        return stdout.getvalue().replace(str(work), "<work>")
 
     config = work / "bench.json"
     config.write_text(json.dumps({"n": 2000, "model": "distorted", "seed": 3000}))
@@ -93,13 +96,16 @@ def cli_outputs(work: Path) -> list[tuple[str, str]]:
     run("simulate", "--n", "150", "--seed", "2000", "--out", str(test))
     run("aj", "--cohort", str(train / "cohort.csv"), "--out", str(w / "aj"),
         "--replicate-for", str(test / "cohort.csv"), "--bundle-out", str(w / "aj_bundle.csv"))
-    run("recalibrate", "--method", "ts", "--cal-cohort", str(test / "cohort.csv"),
-        "--cal-bundle", str(w / "aj_bundle.csv"), "--test-bundle", str(test / "oracle_bundle.csv"),
-        "--out", str(w / "recal"))
+    printed = []
+    for method, out in (("ts", "recal"), ("aj", "recal_aj")):
+        line = run("recalibrate", "--method", method, "--cal-cohort", str(test / "cohort.csv"),
+                   "--cal-bundle", str(w / "aj_bundle.csv"), "--test-bundle", str(test / "oracle_bundle.csv"),
+                   "--out", str(w / out))
+        printed.append((f"stdout/recalibrate_{method}", _sha(line)))
     recal = str(w / "recal" / "recalibrated_bundle.csv")
     run("metrics", "--cohort", str(test / "cohort.csv"), "--bundle", recal, "--out", str(w / "metrics.json"))
     run("evaluate", "--cohort", str(test / "cohort.csv"), "--bundle", recal, "--out", str(w / "evaluation.json"))
-    return _tree("bench", work / "bench") + _tree("files", w)
+    return _tree("bench", work / "bench") + _tree("files", w) + printed
 
 
 def main(argv: list[str]) -> int:
