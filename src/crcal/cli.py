@@ -21,6 +21,7 @@ from .data import (
     CifBundle,
     Cohort,
     TimeGrid,
+    _table,
     bundle_to_csv,
     cohort_to_csv,
     parse_bundle,
@@ -214,10 +215,9 @@ def _bench_seed(config: dict, seed: int, out_dir: Path) -> dict:
         fitted, variants[method] = _recalibrate(method, cal, cal_bundle, test_bundle, grid_size)
         _write(out_dir / f"map_{method}.json", json.dumps(fitted, indent=2))
 
-    marginal = aalen_johansen(test)
     row: dict = {"seed": seed}
     for name, bundle in variants.items():
-        rep = calibration_report(bundle, test, config["params"], config["level"], seed, marginal)
+        rep = calibration_report(bundle, test, config["params"], config["level"], seed)
         ev = evaluate_bundle(test, bundle)
         combined = rep.to_dict()
         combined["evaluation"] = ev.to_dict()
@@ -256,14 +256,14 @@ def _aggregate(rows: list[dict]) -> dict:
 
 
 def _summary_csv(summary: dict) -> str:
-    lines = ["variant,metric,mean,std"]
-    for variant in ("base", "aj", "ts"):
-        for metric, cell in summary[variant].items():
-            if "mean" in cell:
-                lines.append(f"{variant},{metric},{cell['mean']!r},{cell['std']!r}")
-            else:
-                lines.append(f"{variant},{metric},{cell['pass_rate']!r},")
-    return "\n".join(lines) + "\n"
+    rows = (
+        (variant, metric, repr(cell["mean"]), repr(cell["std"]))
+        if "mean" in cell
+        else (variant, metric, repr(cell["pass_rate"]), "")
+        for variant in ("base", "aj", "ts")
+        for metric, cell in summary[variant].items()
+    )
+    return _table(["variant", "metric", "mean", "std"], rows)
 
 
 def cmd_bench(args) -> int:

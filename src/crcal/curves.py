@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Cohort, CifBundle, TimeGrid, _fmt, check_event, step_values
+from .data import Cohort, CifBundle, TimeGrid, _fmt, _table, check_event, step_values
 from .errors import ValidationError
 
 
@@ -46,10 +46,8 @@ class StepCurve:
         return padded[np.searchsorted(self.jump_times, np.asarray(t, dtype=float), side="left")]
 
     def to_csv(self) -> str:
-        lines = ["time,value", f"0,{_fmt(self.initial_value)}"]
-        for t, v in zip(self.jump_times, self.values):
-            lines.append(f"{_fmt(t)},{_fmt(v)}")
-        return "\n".join(lines) + "\n"
+        rows = zip(map(_fmt, self.jump_times.tolist()), map(_fmt, self.values.tolist()))
+        return _table(["time", "value"], [("0", _fmt(self.initial_value)), *rows])
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -229,36 +230,44 @@ def check_aligned(bundle: CifBundle, cohort: Cohort) -> None:
         raise ValidationError("bundle and cohort disagree on the number of events")
 
 
-def _csv_rows(csv_text: str):
-    """Rows of CSV text; a malformed line raises ValidationError."""
+def _table(header, rows) -> str:
+    """CSV text of a header and rows, each a sequence of field strings."""
+    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
+
+
+def _csv_records(csv_text: str, kind: str, columns: list[str], prefix: bool = False):
+    """``(row_no, row)`` for each non-blank row of a cohort or bundle file,
+    the first data row being row 2. The stripped header must equal
+    ``columns`` (start with them when ``prefix``) and every row must have as
+    many fields as the header; a malformed file raises ValidationError."""
     reader = csv.reader(io.StringIO(csv_text))
     try:
-        yield from reader
+        header = next(reader, None)
+        if header is None:
+            raise ValidationError(f"empty {kind} file")
+        header = [h.strip() for h in header]
+        if (header[: len(columns)] if prefix else header) != columns:
+            raise ValidationError(f"{kind} header must {'start with' if prefix else 'be'} {','.join(columns)}")
+        for row_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                # bundle messages keep their established wording: the width alone
+                got = f", got {len(row)}" if prefix else ""
+                raise ValidationError(f"row {row_no}: expected {len(header)} fields{got}")
+            yield row_no, row
     except csv.Error as exc:
         raise ValidationError(f"line {reader.line_num}: malformed CSV ({exc})") from None
 
 
 def parse_cohort(csv_text: str, k_events: int) -> Cohort:
     """Parse cohort CSV with header ``id,time,event[,x1,...,xd]``."""
-    reader = _csv_rows(csv_text)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValidationError("empty cohort file") from None
-    header = [h.strip() for h in header]
-    if header[:3] != ["id", "time", "event"]:
-        raise ValidationError("cohort header must start with id,time,event")
-    cov_names = header[3:]
     ids: list[str] = []
     seen: set[str] = set()
     times: list[float] = []
     events: list[int] = []
     covs: list[list[float]] = []
-    for row_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise ValidationError(f"row {row_no}: expected {len(header)} fields, got {len(row)}")
+    for row_no, row in _csv_records(csv_text, "cohort", ["id", "time", "event"], prefix=True):
         rid = row[0].strip()
         if rid in seen:
             raise ValidationError(f"row {row_no}: duplicate id {rid!r}")
@@ -267,7 +276,9 @@ def parse_cohort(csv_text: str, k_events: int) -> Cohort:
             t = float(row[1])
         except ValueError:
             raise ValidationError(f"row {row_no}: non-numeric time {row[1]!r}") from None
-        if not math.isfinite(t) or t < 0:
+        if not math.isfinite(t):
+            raise ValidationError(f"row {row_no}: time must be finite and nonnegative")
+        if t < 0:
             raise ValidationError(f"row {row_no}: negative time")
         try:
             ev = int(row[2])
@@ -275,59 +286,42 @@ def parse_cohort(csv_text: str, k_events: int) -> Cohort:
             raise ValidationError(f"row {row_no}: non-numeric event {row[2]!r}") from None
         if not 0 <= ev <= k_events:
             raise ValidationError(f"row {row_no}: event label out of range 0..{k_events}")
-        if cov_names:
-            try:
-                covs.append([float(v) for v in row[3:]])
-            except ValueError:
-                raise ValidationError(f"row {row_no}: non-numeric covariate") from None
+        try:
+            covs.append([float(v) for v in row[3:]])
+        except ValueError:
+            raise ValidationError(f"row {row_no}: non-numeric covariate") from None
         ids.append(rid)
         times.append(t)
         events.append(ev)
     if not ids:
         raise ValidationError("cohort has no records")
-    covariates = np.asarray(covs, dtype=float) if cov_names else None
+    covariates = np.asarray(covs, dtype=float) if covs[0] else None
     return Cohort(tuple(ids), np.asarray(times), np.asarray(events), k_events, covariates)
 
 
 def cohort_to_csv(cohort: Cohort) -> str:
     """Serialize a cohort; inverse of :func:`parse_cohort`."""
     d = 0 if cohort.covariates is None else cohort.covariates.shape[1]
-    lines = ["id,time,event" + "".join(f",x{j + 1}" for j in range(d))]
-    for i in range(cohort.n):
-        row = [cohort.ids[i], _fmt(cohort.times[i]), str(int(cohort.events[i]))]
-        if d:
-            row.extend(_fmt(v) for v in cohort.covariates[i])
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    covs = cohort.covariates.tolist() if d else [[]] * cohort.n
+    rows = (
+        [rid, _fmt(t), str(ev), *map(_fmt, x)]
+        for rid, t, ev, x in zip(cohort.ids, cohort.times.tolist(), cohort.events.tolist(), covs)
+    )
+    return _table(["id", "time", "event"] + [f"x{j + 1}" for j in range(d)], rows)
 
 
 def parse_bundle(csv_text: str, k_events: int) -> CifBundle:
     """Parse long-format bundle CSV ``sample_id,event,time,cif``.
 
     Every (sample, event) pair must cover the identical set of times; the
-    grid is the sorted set of distinct times. Row order is free.
+    grid is the sorted set of distinct times. Row order is free; samples
+    keep the order in which they first appear.
     """
-    reader = _csv_rows(csv_text)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValidationError("empty bundle file") from None
-    if [h.strip() for h in header] != ["sample_id", "event", "time", "cif"]:
-        raise ValidationError("bundle header must be sample_id,event,time,cif")
-    entries: dict[tuple[str, int], dict[float, float]] = {}
-    order: list[str] = []
-    seen_samples: set[str] = set()
-    all_times: set[float] = set()
-    for row_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise ValidationError(f"row {row_no}: expected 4 fields")
-        sid = row[0].strip()
+    index: dict[str, int] = {}
+    row_nos, cells, times, cifs = array("q"), array("q"), array("d"), array("d")
+    for row_no, row in _csv_records(csv_text, "bundle", ["sample_id", "event", "time", "cif"]):
         try:
-            ev = int(row[1])
-            t = float(row[2])
-            cif = float(row[3])
+            ev, t, cif = int(row[1]), float(row[2]), float(row[3])
         except ValueError:
             raise ValidationError(f"row {row_no}: non-numeric field") from None
         if not 1 <= ev <= k_events:
@@ -336,37 +330,40 @@ def parse_bundle(csv_text: str, k_events: int) -> CifBundle:
             raise ValidationError(f"row {row_no}: time must be positive and finite")
         if not 0.0 <= cif <= 1.0:
             raise ValidationError(f"row {row_no}: cif outside [0, 1]")
-        if sid not in seen_samples:
-            seen_samples.add(sid)
-            order.append(sid)
-        cell = entries.setdefault((sid, ev), {})
-        if t in cell:
-            raise ValidationError(f"row {row_no}: duplicate time for sample {sid!r} event {ev}")
-        cell[t] = cif
-        all_times.add(t)
-    if not order:
+        row_nos.append(row_no)
+        cells.append(index.setdefault(row[0].strip(), len(index)) * k_events + ev - 1)
+        times.append(t)
+        cifs.append(cif)
+    if not index:
         raise ValidationError("bundle has no rows")
-    grid_times = np.asarray(sorted(all_times))
-    d = grid_times.size
-    n = len(order)
-    values = np.empty((n, k_events, d))
-    for i, sid in enumerate(order):
-        for ev in range(1, k_events + 1):
-            cell = entries.get((sid, ev))
-            if cell is None or len(cell) != d:
-                raise ValidationError(f"ragged grid: sample {sid!r} event {ev} does not cover all times")
-            values[i, ev - 1, :] = [cell[t] for t in grid_times]
-    return CifBundle(TimeGrid(grid_times), values, tuple(order))
+    ids = tuple(index)
+    grid_times, col = np.unique(np.frombuffer(times), return_inverse=True)
+    n, d = len(ids), grid_times.size
+    size = n * k_events * d
+    flat = np.frombuffer(cells, dtype=np.int64) * d + col
+    order = np.argsort(flat, kind="stable")
+    repeats = order[1:][np.diff(flat[order]) == 0]
+    if repeats.size:
+        first = int(repeats.min())
+        sample, ev = divmod(cells[first], k_events)
+        raise ValidationError(f"row {row_nos[first]}: duplicate time for sample {ids[sample]!r} event {ev + 1}")
+    if flat.size != size:
+        filled = np.zeros(size, dtype=bool)
+        filled[flat] = True
+        sample, ev = divmod(int(np.argmin(filled)) // d, k_events)
+        raise ValidationError(f"ragged grid: sample {ids[sample]!r} event {ev + 1} does not cover all times")
+    values = np.empty(size)
+    values[flat] = np.frombuffer(cifs)
+    return CifBundle(TimeGrid(grid_times), values.reshape(n, k_events, d), ids)
 
 
 def bundle_to_csv(bundle: CifBundle) -> str:
     """Serialize a bundle; inverse of :func:`parse_bundle`."""
-    lines = ["sample_id,event,time,cif"]
-    for i, sid in enumerate(bundle.sample_ids):
-        for k in range(bundle.k_events):
-            for j, t in enumerate(bundle.grid.times):
-                lines.append(f"{sid},{k + 1},{_fmt(t)},{_fmt(bundle.values[i, k, j])}")
-    return "\n".join(lines) + "\n"
+    times = [_fmt(t) for t in bundle.grid.times.tolist()]
+    pairs = [(sid, str(k + 1)) for sid in bundle.sample_ids for k in range(bundle.k_events)]
+    cifs = map(_fmt, bundle.values.ravel().tolist())
+    rows = ((sid, ev, t, next(cifs)) for sid, ev in pairs for t in times)
+    return _table(["sample_id", "event", "time", "cif"], rows)
 
 
 def split_cohort(

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import StepCurve, censoring_survival
-from .data import CifBundle, Cohort, TimeGrid, _fmt, check_aligned, check_event, step_indices
+from .data import CifBundle, Cohort, TimeGrid, _fmt, _table, check_aligned, check_event, step_indices
 from .errors import NumericError, ValidationError
 
 @dataclass(frozen=True)
@@ -214,12 +214,13 @@ def mean_incidence(bundle: CifBundle) -> np.ndarray:
 
 def mean_incidence_csv(bundle: CifBundle) -> str:
     """Plot-ready CSV ``event,time,mean_cif`` of the marginal predictions."""
-    curves = mean_incidence(bundle)
-    lines = ["event,time,mean_cif"]
-    for k in range(bundle.k_events):
-        for j, t in enumerate(bundle.grid.times):
-            lines.append(f"{k + 1},{_fmt(t)},{_fmt(curves[k, j])}")
-    return "\n".join(lines) + "\n"
+    times = [_fmt(t) for t in bundle.grid.times.tolist()]
+    rows = (
+        (str(k + 1), t, _fmt(v))
+        for k, curve in enumerate(mean_incidence(bundle).tolist())
+        for t, v in zip(times, curve)
+    )
+    return _table(["event", "time", "mean_cif"], rows)
 
 
 def default_horizons(cohort: Cohort) -> list[float]:

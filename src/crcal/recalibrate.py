@@ -109,8 +109,9 @@ def _feasible_projection(raw: np.ndarray) -> tuple[np.ndarray, int]:
     Forward pass over the grid: clip into [0, 1], lift below the running
     maximum, and scale down the per-time increments of any sample whose
     event sum would exceed one. Repaired sums land slightly below one so
-    the implied survival stays above the metrics' floor. A sample that
-    needs no repair comes back bitwise unchanged.
+    the implied survival stays above the metrics' floor. An event left at
+    zero everywhere gets the smallest positive terminal value, which keeps
+    it possible. A sample that needs no repair comes back bitwise unchanged.
     """
     n, k, d = raw.shape
     target = 1.0 - _SUM_HEADROOM
@@ -135,7 +136,9 @@ def _feasible_projection(raw: np.ndarray) -> tuple[np.ndarray, int]:
         out[:, :, j] = lifted
         prev = lifted
         prev_total = total
-    return out, repairs
+    zero = out[:, :, -1] == 0.0
+    out[:, :, -1][zero] = np.nextafter(0.0, 1.0)
+    return out, repairs + int(np.count_nonzero(zero))
 
 
 def apply_offsets(bundle: CifBundle, rmap: RecalibrationMap) -> RecalibratedBundle:

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 
 from .calibration import MetricParams, bucket_deviations, d_hat_from_deviations, pi_cal_alpha
-from .curves import MarginalCurveSet, aalen_johansen
+from .curves import aalen_johansen
 from .data import CifBundle, Cohort, TimeGrid, quantile_grid
 from .errors import ValidationError
 from .kstests import TestResult, d_cal_verdicts, pi_cal_test
@@ -82,17 +82,15 @@ def calibration_report(
     params: MetricParams = MetricParams(),
     level: float = 0.05,
     seed: int | None = None,
-    marginal: MarginalCurveSet | None = None,
 ) -> CalibrationReport:
     """Compute both calibration metrics and their tests for one bundle.
 
-    The plug-in marginal defaults to the Aalen-Johansen fit on the scored
-    cohort itself, and the marginal gaps are integrated over the cohort's
+    The plug-in marginal is the Aalen-Johansen fit on the scored cohort
+    itself, and the marginal gaps are integrated over the cohort's
     duration quantiles (clipped to the bundle horizon), where the data
     actually lives.
     """
-    if marginal is None:
-        marginal = aalen_johansen(cohort)
+    marginal = aalen_johansen(cohort)
     try:
         pi_times = quantile_grid(cohort, 64).times
         pi_times = pi_times[pi_times <= bundle.grid.t_max]

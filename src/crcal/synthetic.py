@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CifBundle, Cohort, TimeGrid, _fmt
+from .data import CifBundle, Cohort, TimeGrid, _fmt, _table
 from .errors import ValidationError
 
 N_HEAD = 512
@@ -384,11 +384,9 @@ def latents_to_csv(ids, latents) -> str:
     k = len(latents[0].lambdas)
     head = ["id"] + [f"l{j + 1}" for j in range(k)] + [f"s{j + 1}" for j in range(k)]
     head += ["tstar", "dstar", "ctime"]
-    lines = [",".join(head)]
-    for sid, rec in zip(ids, latents):
-        row = [str(sid)]
-        row += [_fmt(v) for v in rec.lambdas]
-        row += [_fmt(v) for v in rec.shapes]
-        row += [_fmt(rec.true_time), str(rec.true_event), _fmt(rec.censor_time)]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    rows = (
+        [str(sid), *map(_fmt, rec.lambdas), *map(_fmt, rec.shapes),
+         _fmt(rec.true_time), str(rec.true_event), _fmt(rec.censor_time)]
+        for sid, rec in zip(ids, latents)
+    )
+    return _table(head, rows)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from crcal.cli import main
-from crcal.data import CifBundle, TimeGrid, bundle_to_csv, parse_cohort
+from crcal.data import CifBundle, TimeGrid, bundle_to_csv, parse_bundle, parse_cohort
 
 
 def run(argv):
@@ -173,6 +173,31 @@ class TestRecalibrateAndEvaluate:
         )
         assert code == 2
         assert "no calibration quantile falls inside the bundle horizon" in capsys.readouterr().err
+
+    def test_recalibrate_keeps_an_event_that_offsets_clip_to_zero(self, tmp_path, capsys):
+        # one event in four records puts the AJ curve at 0.25 against a mean
+        # prediction of 0.5, so the offsets of -0.25 clip sample x to zero
+        (tmp_path / "cal.csv").write_text("id,time,event\na,1,1\nb,2,0\nc,3,0\nd,4,0\n")
+        cal = CifBundle(TimeGrid(np.arange(1.0, 5.0)), np.full((4, 1, 4), 0.5), tuple("abcd"))
+        (tmp_path / "cal_bundle.csv").write_text(bundle_to_csv(cal))
+        test = CifBundle(cal.grid, np.array([[[0.01, 0.02, 0.03, 0.04]], [[0.5, 0.5, 0.6, 0.7]]]), ("x", "y"))
+        (tmp_path / "test_bundle.csv").write_text(bundle_to_csv(test))
+        code = run(
+            [
+                "recalibrate",
+                "--method", "aj",
+                "--cal-cohort", tmp_path / "cal.csv",
+                "--cal-bundle", tmp_path / "cal_bundle.csv",
+                "--test-bundle", tmp_path / "test_bundle.csv",
+                "--k-events", 1,
+                "--out", tmp_path / "recal",
+            ]
+        )
+        assert code == 0
+        assert "method aj: 5 repaired entries" in capsys.readouterr().out
+        recal = parse_bundle((tmp_path / "recal" / "recalibrated_bundle.csv").read_text(), 1)
+        assert recal.values[0, 0].tolist() == [0.0, 0.0, 0.0, np.nextafter(0.0, 1.0)]
+        assert np.array_equal(recal.values[1], test.values[1] - 0.25)
 
     def test_evaluate(self, tmp_path):
         self._setup(tmp_path)

@@ -1,6 +1,10 @@
+import csv
+import io
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -53,6 +57,127 @@ def bits(a):
     return np.ascontiguousarray(a).tobytes()
 
 
+def _fmt(x):
+    return format(float(x), ".17g")
+
+
+def _reference_rows(csv_text):
+    reader = csv.reader(io.StringIO(csv_text))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValidationError(f"line {reader.line_num}: malformed CSV ({exc})") from None
+
+
+def reference_parse_bundle(csv_text, k_events):
+    """The former dict-per-(sample, event) parser, kept as the reference."""
+    reader = _reference_rows(csv_text)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValidationError("empty bundle file") from None
+    if [h.strip() for h in header] != ["sample_id", "event", "time", "cif"]:
+        raise ValidationError("bundle header must be sample_id,event,time,cif")
+    entries = {}
+    order = []
+    seen_samples = set()
+    all_times = set()
+    for row_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise ValidationError(f"row {row_no}: expected 4 fields")
+        sid = row[0].strip()
+        try:
+            ev = int(row[1])
+            t = float(row[2])
+            cif = float(row[3])
+        except ValueError:
+            raise ValidationError(f"row {row_no}: non-numeric field") from None
+        if not 1 <= ev <= k_events:
+            raise ValidationError(f"row {row_no}: event label out of range 1..{k_events}")
+        if not math.isfinite(t) or t <= 0:
+            raise ValidationError(f"row {row_no}: time must be positive and finite")
+        if not 0.0 <= cif <= 1.0:
+            raise ValidationError(f"row {row_no}: cif outside [0, 1]")
+        if sid not in seen_samples:
+            seen_samples.add(sid)
+            order.append(sid)
+        cell = entries.setdefault((sid, ev), {})
+        if t in cell:
+            raise ValidationError(f"row {row_no}: duplicate time for sample {sid!r} event {ev}")
+        cell[t] = cif
+        all_times.add(t)
+    if not order:
+        raise ValidationError("bundle has no rows")
+    grid_times = np.asarray(sorted(all_times))
+    d = grid_times.size
+    n = len(order)
+    values = np.empty((n, k_events, d))
+    for i, sid in enumerate(order):
+        for ev in range(1, k_events + 1):
+            cell = entries.get((sid, ev))
+            if cell is None or len(cell) != d:
+                raise ValidationError(f"ragged grid: sample {sid!r} event {ev} does not cover all times")
+            values[i, ev - 1, :] = [cell[t] for t in grid_times]
+    return CifBundle(TimeGrid(grid_times), values, tuple(order))
+
+
+def reference_bundle_to_csv(bundle):
+    """The former per-cell writer, kept as the reference."""
+    lines = ["sample_id,event,time,cif"]
+    for i, sid in enumerate(bundle.sample_ids):
+        for k in range(bundle.k_events):
+            for j, t in enumerate(bundle.grid.times):
+                lines.append(f"{sid},{k + 1},{_fmt(t)},{_fmt(bundle.values[i, k, j])}")
+    return "\n".join(lines) + "\n"
+
+
+def parsed(parse, text, k_events):
+    """What a bundle parser makes of text: the message of the ValidationError
+    it raises, or the ids, grid bits and value bits of the bundle."""
+    try:
+        bundle = parse(text, k_events)
+    except ValidationError as exc:
+        return str(exc)
+    return bundle.sample_ids, bits(bundle.grid.times), bits(bundle.values)
+
+
+FAULTS = {
+    "event": ["0", "-1", "4", "x"],
+    "time": ["0", "-0.5", "nan", "inf", "-inf", "t"],
+    "cif": ["-0.5", "1.5", "nan", "inf", "c"],
+}
+
+
+@st.composite
+def faulty_bundle_texts(draw):
+    """(K, text) of a valid bundle's CSV with its rows shuffled and one fault:
+    one or two rows dropped or repeated, a row cut short or made long, or one
+    field out of range. Two drops or repeats tell which fault is named first."""
+    bundle = draw(bundles())
+    header, *rows = bundle_to_csv(bundle).splitlines()
+    rows = draw(st.permutations(rows))
+    i = draw(st.integers(0, len(rows) - 1))
+    fields = rows[i].split(",")
+    fault = draw(st.sampled_from(["drop", "repeat", "short", "long", *FAULTS]))
+    if fault in ("drop", "repeat"):
+        for _ in range(draw(st.integers(1, 2))):
+            i = draw(st.integers(0, len(rows) - 1)) if rows else 0
+            if fault == "drop" and rows:
+                del rows[i]
+            elif fault == "repeat":
+                rows.insert(draw(st.integers(0, len(rows))), rows[i])
+    elif fault == "short":
+        rows[i] = ",".join(fields[:-1])
+    elif fault == "long":
+        rows[i] += ",0"
+    else:
+        fields[["event", "time", "cif"].index(fault) + 1] = draw(st.sampled_from(FAULTS[fault]))
+        rows[i] = ",".join(fields)
+    return bundle.k_events, "\n".join([header, *rows]) + "\n"
+
+
 # CSV-like text: header lines of either file, numbers, separators, quotes and
 # bare carriage returns inside fields
 CSV_TEXT = st.lists(
@@ -97,6 +222,28 @@ class TestRoundTripProperty:
         assert bits(again.values) == bits(bundle.values)
 
 
+class TestAgainstReference:
+    @given(bundles())
+    def test_writer_bytes(self, bundle):
+        assert bundle_to_csv(bundle) == reference_bundle_to_csv(bundle)
+
+    @given(bundles(), st.randoms(use_true_random=False))
+    def test_parser_on_shuffled_rows(self, bundle, rnd):
+        header, *rows = bundle_to_csv(bundle).splitlines()
+        rnd.shuffle(rows)
+        text = "\n".join([header, *rows]) + "\n"
+        got = parsed(parse_bundle, text, bundle.k_events)
+        assert not isinstance(got, str)
+        assert got == parsed(reference_parse_bundle, text, bundle.k_events)
+
+    # enough examples that two drops or repeats often land in different cells
+    @settings(max_examples=500)
+    @given(faulty_bundle_texts())
+    def test_parser_on_single_faults(self, case):
+        k, text = case
+        assert parsed(parse_bundle, text, k) == parsed(reference_parse_bundle, text, k)
+
+
 class TestParseCohort:
     def test_basic_parse(self):
         cohort = parse_cohort("id,time,event\n1,1.0,1\n2,2.0,0\n", k_events=2)
@@ -117,6 +264,11 @@ class TestParseCohort:
     def test_negative_time_rejected(self):
         with pytest.raises(ValidationError, match="row 2"):
             parse_cohort("id,time,event\n1,-1.0,1\n", k_events=1)
+
+    @pytest.mark.parametrize("time", ["nan", "inf"])
+    def test_non_finite_time_rejected(self, time):
+        with pytest.raises(ValidationError, match="row 2: time must be finite and nonnegative"):
+            parse_cohort(f"id,time,event\n1,{time},1\n", k_events=1)
 
     def test_duplicate_id_rejected(self):
         with pytest.raises(ValidationError, match="duplicate id"):

@@ -258,11 +258,14 @@ class TestFeasibleProjection:
         assert np.all(np.diff(out, axis=2) >= 0.0)
         assert np.all(out.sum(axis=1) <= 1.0)
         if valid:
-            assert repairs == 0
-            assert np.array_equal(out, raw)
-        if np.all(out[:, :, -1] > 0.0):
-            grid = np.arange(1.0, raw.shape[2] + 1)
-            assert np.array_equal(make_bundle(grid, out).values, out)
+            # an event that stays at zero is the one repair a valid input gets
+            zero = raw[:, :, -1] == 0.0
+            expected = raw.copy()
+            expected[:, :, -1][zero] = np.nextafter(0.0, 1.0)
+            assert repairs == np.count_nonzero(zero)
+            assert np.array_equal(out, expected)
+        grid = np.arange(1.0, raw.shape[2] + 1)
+        assert np.array_equal(make_bundle(grid, out).values, out)
 
     def test_rescales_only_the_samples_over_one(self):
         # only sample 0's event sum goes over one; the other samples are
@@ -375,19 +378,38 @@ class TestFrozenMap:
         fitted = rmap.offsets if method == "aj" else rmap.temperatures
         kept = fitted.copy()
 
-        def outcome(target, fitted_map):
-            try:
-                return apply(target, fitted_map).repairs
-            except ValidationError as exc:  # a beta near 1e3 can underflow a terminal CIF to 0
-                return str(exc)
-
-        first, second = outcome(bundle, rmap), outcome(other, rmap)
+        first, second = apply(bundle, rmap).repairs, apply(other, rmap).repairs
         # each count is the one the bundle gets from a map applied to it alone
-        assert first == outcome(bundle, fit(cohort, bundle, grid))
-        assert second == outcome(other, fit(cohort, bundle, grid))
+        assert first == apply(bundle, fit(cohort, bundle, grid)).repairs
+        assert second == apply(other, fit(cohort, bundle, grid)).repairs
         assert np.array_equal(fitted, kept)
         with pytest.raises(dataclasses.FrozenInstanceError):
             rmap.grid = TimeGrid(np.array([1.0]))
+
+
+class TestEventLeftAtZero:
+    """An application that leaves some sample's event at zero everywhere
+    gives it the smallest positive terminal CIF and counts that as a repair,
+    so valid input yields a valid bundle."""
+
+    TINY = np.nextafter(0.0, 1.0)
+
+    def test_temperature_underflow(self):
+        bundle = make_bundle([1.0, 2.0], [[[0.2, 0.3]], [[0.5, 0.6]]])
+        rmap = RecalibrationMap(TEMPERATURE, bundle.grid, temperatures=np.array([1000.0, 1000.0]))
+        out = apply_temperature(bundle, rmap)
+        # (0.3 / 0.7) ** 1000 underflows, so sample 0's event share is 0
+        assert out.values[0, 0].tolist() == [0.0, self.TINY]
+        assert out.values[1, 0].tolist() == [0.5, 1.0 - _SUM_HEADROOM]
+        assert out.repairs == 2  # sample 1's saturated sum and sample 0's terminal lift
+
+    def test_offsets_clip_a_sample_to_zero(self):
+        bundle = make_bundle([1.0, 2.0], [[[0.02, 0.05]], [[0.5, 0.6]]])
+        rmap = RecalibrationMap(AJ_OFFSET, bundle.grid, offsets=np.array([[0.2, 0.2], [-0.2, -0.2]]))
+        out = apply_offsets(bundle, rmap)
+        assert out.values[0, 0].tolist() == [0.0, self.TINY]
+        assert np.array_equal(out.values[1], bundle.values[1] - 0.2)
+        assert out.repairs == 3  # two clipped values and the terminal lift
 
 
 class TestRecalibrationMap:

@@ -18,7 +18,11 @@ moved, to the last bit. Each line is ``<label> <sha256>``. The set:
   --replicate-for, recalibrate --method ts, recalibrate --method aj (into
   ``recal_aj/``), metrics, evaluate (n = 200 + 150, seeds 1000 and 2000);
 - ``stdout/recalibrate_<method>``: the line each recalibrate run prints,
-  which carries its repair count, with the scratch directory masked.
+  which carries its repair count, with the scratch directory masked;
+- ``error/<cohort|bundle>/<fault>``: the exit code and stderr of ``crcal
+  metrics`` on a fixed set of malformed cohort and bundle CSVs, each read
+  beside a valid file of the other kind, so the parsers' error path is
+  compared as well.
 
 Scratch files go to a temporary directory (``TMPDIR``) that is removed at
 the end.
@@ -108,6 +112,66 @@ def cli_outputs(work: Path) -> list[tuple[str, str]]:
     return _tree("bench", work / "bench") + _tree("files", w) + printed
 
 
+COHORT = ["id,time,event", "a,1.0,1", "b,2.0,0", "c,3.0,1"]
+BUNDLE = ["sample_id,event,time,cif"] + [f"{s},1,{t},{c}" for s in "abc" for t, c in ((1, 0.1), (2, 0.3))]
+
+
+def _edit(lines: list[str], i: int, line: str | None) -> list[str]:
+    """``lines`` with line i replaced by ``line``, or dropped when it is None."""
+    return lines[:i] + ([] if line is None else [line]) + lines[i + 1:]
+
+
+MALFORMED = {
+    "cohort": {
+        "empty": [],
+        "header": _edit(COHORT, 0, "id,event,time"),
+        "field_count": _edit(COHORT, 2, "b,2.0"),
+        "duplicate_id": _edit(COHORT, 3, "a,3.0,1"),
+        "non_numeric_time": _edit(COHORT, 1, "a,soon,1"),
+        "negative_time": _edit(COHORT, 1, "a,-1.0,1"),
+        "nan_time": _edit(COHORT, 1, "a,nan,1"),
+        "inf_time": _edit(COHORT, 1, "a,inf,1"),
+        "non_numeric_event": _edit(COHORT, 1, "a,1.0,x"),
+        "event_range": _edit(COHORT, 1, "a,1.0,2"),
+        "non_numeric_covariate": ["id,time,event,x1", "a,1.0,1,0.5", "b,2.0,0,y", "c,3.0,1,1"],
+        "no_records": COHORT[:1],
+    },
+    "bundle": {
+        "empty": [],
+        "header": _edit(BUNDLE, 0, "sample_id,time,event,cif"),
+        "field_count": _edit(BUNDLE, 3, "b,1,1"),
+        "non_numeric": _edit(BUNDLE, 3, "b,1,1,low"),
+        "event_range": _edit(BUNDLE, 3, "b,2,1,0.1"),
+        "time_zero": _edit(BUNDLE, 3, "b,1,0,0.1"),
+        "time_nan": _edit(BUNDLE, 3, "b,1,nan,0.1"),
+        "cif_range": _edit(BUNDLE, 3, "b,1,1,1.5"),
+        "duplicate_time": _edit(BUNDLE, 4, "b,1,1,0.3"),
+        "ragged_grid": _edit(BUNDLE, 4, None),
+        "missing_sample_event": BUNDLE + ["d,1,1,0.1"],
+        "no_rows": BUNDLE[:1],
+        "decreasing": _edit(BUNDLE, 4, "b,1,2,0.05"),
+        "terminal_zero": _edit(_edit(BUNDLE, 3, "b,1,1,0"), 4, "b,1,2,0"),
+        "misaligned_ids": [line.replace("c,", "d,") for line in BUNDLE],
+    },
+}
+
+
+def error_outputs(work: Path) -> list[tuple[str, str]]:
+    from crcal import cli
+
+    out = []
+    for kind, faults in MALFORMED.items():
+        for fault, lines in faults.items():
+            files = {"cohort": COHORT, "bundle": BUNDLE, kind: lines}
+            for name, text in files.items():
+                (work / f"{name}.csv").write_text("".join(line + "\n" for line in text))
+            with contextlib.redirect_stderr(io.StringIO()) as stderr:
+                rc = cli.main(["metrics", "--cohort", str(work / "cohort.csv"), "--bundle", str(work / "bundle.csv"),
+                               "--k-events", "1", "--out", str(work / "metrics.json")])
+            out.append((f"error/{kind}/{fault}", _sha(f"{rc} {stderr.getvalue()}".replace(str(work), "<work>"))))
+    return out
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[0]).resolve() if argv else Path(__file__).resolve().parents[1]
     src = root / "src"
@@ -116,7 +180,7 @@ def main(argv: list[str]) -> int:
         return 2
     sys.path.insert(0, str(src))
     with tempfile.TemporaryDirectory() as tmp:
-        lines = score_outputs() + cli_outputs(Path(tmp))
+        lines = score_outputs() + cli_outputs(Path(tmp)) + error_outputs(Path(tmp))
     for label, digest in lines:
         print(label, digest)
     return 0
