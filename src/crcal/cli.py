@@ -38,8 +38,8 @@ from .synthetic import (
     generate_cohort,
     latents_to_csv,
     oracle_bundle,
+    oracle_grid,
     square_distort,
-    survival_horizon,
 )
 
 DEFAULT_GRID_SIZE = 64
@@ -47,38 +47,24 @@ DEFAULT_FRACTIONS = (0.4, 0.4, 0.2)
 
 
 def _read(path: str) -> str:
-    p = Path(path)
-    if not p.exists():
-        raise ValidationError(f"file not found: {path}")
-    return p.read_text()
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from None
 
 
 def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-
-
-def _load_cohort(path: str, k_events: int) -> Cohort:
-    return parse_cohort(_read(path), k_events)
-
-
-def _load_bundle(path: str, k_events: int) -> CifBundle:
-    return parse_bundle(_read(path), k_events)
-
-
-def _sim_grid(cohort: Cohort, latents, grid_size: int) -> TimeGrid:
-    """Quantile grid of the cohort extended by the terminal-mass horizon."""
-    grid = quantile_grid(cohort, grid_size)
-    horizon = survival_horizon(latents)
-    if horizon > grid.t_max:
-        return TimeGrid(np.append(grid.times, horizon))
-    return grid
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from None
 
 
 def cmd_simulate(args) -> int:
     config = WeibullConfig(censoring_scale=args.censoring_scale)
     cohort, latents = generate_cohort(config, args.n, args.seed)
-    grid = _sim_grid(cohort, latents, args.grid_size)
+    grid = oracle_grid(cohort, latents, args.grid_size)
     bundle = oracle_bundle(latents, grid, cohort.ids)
     out = Path(args.out)
     _write(out / "cohort.csv", cohort_to_csv(cohort))
@@ -89,7 +75,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_aj(args) -> int:
-    cohort = _load_cohort(args.cohort, args.k_events)
+    cohort = parse_cohort(_read(args.cohort), args.k_events)
     curves = aalen_johansen(cohort)
     out = Path(args.out)
     _write(out / "km.csv", curves.km.to_csv())
@@ -99,7 +85,7 @@ def cmd_aj(args) -> int:
     if args.replicate_for:
         if not args.bundle_out:
             raise ValidationError("--replicate-for requires --bundle-out")
-        target = _load_cohort(args.replicate_for, args.k_events)
+        target = parse_cohort(_read(args.replicate_for), args.k_events)
         grid = quantile_grid(cohort, args.grid_size)
         bundle = marginal_bundle(curves, grid, target.ids)
         _write(Path(args.bundle_out), bundle_to_csv(bundle))
@@ -109,8 +95,8 @@ def cmd_aj(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    cohort = _load_cohort(args.cohort, args.k_events)
-    bundle = _load_bundle(args.bundle, args.k_events)
+    cohort = parse_cohort(_read(args.cohort), args.k_events)
+    bundle = parse_bundle(_read(args.bundle), args.k_events)
     try:
         alpha = float(args.alpha)
     except ValueError:
@@ -142,9 +128,9 @@ def _recalibrate(
 
 
 def cmd_recalibrate(args) -> int:
-    cal_cohort = _load_cohort(args.cal_cohort, args.k_events)
-    cal_bundle = _load_bundle(args.cal_bundle, args.k_events)
-    test_bundle = _load_bundle(args.test_bundle, args.k_events)
+    cal_cohort = parse_cohort(_read(args.cal_cohort), args.k_events)
+    cal_bundle = parse_bundle(_read(args.cal_bundle), args.k_events)
+    test_bundle = parse_bundle(_read(args.test_bundle), args.k_events)
     fitted, recal = _recalibrate(args.method, cal_cohort, cal_bundle, test_bundle, args.grid_size)
     out = Path(args.out)
     _write(out / "map.json", json.dumps(fitted, indent=2))
@@ -154,8 +140,8 @@ def cmd_recalibrate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cohort = _load_cohort(args.cohort, args.k_events)
-    bundle = _load_bundle(args.bundle, args.k_events)
+    cohort = parse_cohort(_read(args.cohort), args.k_events)
+    bundle = parse_bundle(_read(args.bundle), args.k_events)
     try:
         horizons = [float(h) for h in args.horizons.split(",")] if args.horizons else None
     except ValueError:
@@ -193,7 +179,6 @@ def _bench_seed(config: dict, seed: int, out_dir: Path) -> dict:
     grid_size, model = config["grid_size"], config["model"]
     cohort, latents = generate_cohort(config["weibull"], config["n"], seed)
     train, cal, test = split_cohort(cohort, seed, config["fractions"])
-    by_id = {sid: latents[int(sid) - 1] for sid in cohort.ids}
 
     if model == "aj":
         curves = aalen_johansen(train)
@@ -201,9 +186,9 @@ def _bench_seed(config: dict, seed: int, out_dir: Path) -> dict:
         cal_bundle = marginal_bundle(curves, grid, cal.ids)
         test_bundle = marginal_bundle(curves, grid, test.ids)
     elif model in ("oracle", "distorted"):
-        grid = _sim_grid(train, latents, grid_size)
-        cal_bundle = oracle_bundle([by_id[s] for s in cal.ids], grid, cal.ids)
-        test_bundle = oracle_bundle([by_id[s] for s in test.ids], grid, test.ids)
+        grid = oracle_grid(train, latents, grid_size)
+        cal_bundle = oracle_bundle([latents[int(s) - 1] for s in cal.ids], grid, cal.ids)
+        test_bundle = oracle_bundle([latents[int(s) - 1] for s in test.ids], grid, test.ids)
         if model == "distorted":
             cal_bundle = square_distort(cal_bundle)
             test_bundle = square_distort(test_bundle)
@@ -350,9 +335,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3

@@ -230,6 +230,14 @@ def check_aligned(bundle: CifBundle, cohort: Cohort) -> None:
         raise ValidationError("bundle and cohort disagree on the number of events")
 
 
+def _csv_id(sid: str) -> str:
+    """An id as a CSV field: quoted, inner quotes doubled, when it holds a
+    comma, a quote or a line break; any other id keeps its bytes."""
+    if any(c in sid for c in ',"\r\n'):
+        return '"' + sid.replace('"', '""') + '"'
+    return sid
+
+
 def _table(header, rows) -> str:
     """CSV text of a header and rows, each a sequence of field strings."""
     return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
@@ -237,9 +245,10 @@ def _table(header, rows) -> str:
 
 def _csv_records(csv_text: str, kind: str, columns: list[str], prefix: bool = False):
     """``(row_no, row)`` for each non-blank row of a cohort or bundle file,
-    the first data row being row 2. The stripped header must equal
-    ``columns`` (start with them when ``prefix``) and every row must have as
-    many fields as the header; a malformed file raises ValidationError."""
+    ``row_no`` being the file line the row starts on. The stripped header
+    must equal ``columns`` (start with them when ``prefix``) and every row
+    must have as many fields as the header; a malformed file raises
+    ValidationError."""
     reader = csv.reader(io.StringIO(csv_text))
     try:
         header = next(reader, None)
@@ -248,7 +257,9 @@ def _csv_records(csv_text: str, kind: str, columns: list[str], prefix: bool = Fa
         header = [h.strip() for h in header]
         if (header[: len(columns)] if prefix else header) != columns:
             raise ValidationError(f"{kind} header must {'start with' if prefix else 'be'} {','.join(columns)}")
-        for row_no, row in enumerate(reader, start=2):
+        end = reader.line_num
+        for row in reader:
+            row_no, end = end + 1, reader.line_num
             if not row:
                 continue
             if len(row) != len(header):
@@ -304,7 +315,7 @@ def cohort_to_csv(cohort: Cohort) -> str:
     d = 0 if cohort.covariates is None else cohort.covariates.shape[1]
     covs = cohort.covariates.tolist() if d else [[]] * cohort.n
     rows = (
-        [rid, _fmt(t), str(ev), *map(_fmt, x)]
+        [_csv_id(rid), _fmt(t), str(ev), *map(_fmt, x)]
         for rid, t, ev, x in zip(cohort.ids, cohort.times.tolist(), cohort.events.tolist(), covs)
     )
     return _table(["id", "time", "event"] + [f"x{j + 1}" for j in range(d)], rows)
@@ -360,7 +371,7 @@ def parse_bundle(csv_text: str, k_events: int) -> CifBundle:
 def bundle_to_csv(bundle: CifBundle) -> str:
     """Serialize a bundle; inverse of :func:`parse_bundle`."""
     times = [_fmt(t) for t in bundle.grid.times.tolist()]
-    pairs = [(sid, str(k + 1)) for sid in bundle.sample_ids for k in range(bundle.k_events)]
+    pairs = [(sid, str(k + 1)) for sid in map(_csv_id, bundle.sample_ids) for k in range(bundle.k_events)]
     cifs = map(_fmt, bundle.values.ravel().tolist())
     rows = ((sid, ev, t, next(cifs)) for sid, ev in pairs for t in times)
     return _table(["sample_id", "event", "time", "cif"], rows)
@@ -376,6 +387,8 @@ def split_cohort(
     """
     if cohort.n == 0:
         raise ValidationError("cannot split an empty cohort")
+    if seed < 0:
+        raise ValidationError("seed must be nonnegative")
     fractions = tuple(float(f) for f in fractions)
     if len(fractions) != 3 or any(f <= 0 for f in fractions):
         raise ValidationError("fractions must be three positive reals")
@@ -399,8 +412,9 @@ def quantile_grid(cohort: Cohort, d: int) -> TimeGrid:
     """Evaluation grid at duration quantiles 1/d, 2/d, ..., 1.
 
     Uses lower interpolation (the ceil(q*n)-th order statistic) so every
-    grid point is an observed time; duplicates are dropped. The last point
-    equals the maximum observed duration.
+    grid point is an observed time; duplicates and non-positive times are
+    dropped. The last point equals the maximum observed duration. Any d >= n
+    gives the grid of all distinct positive times, so d is capped at n.
     """
     if cohort.n == 0:
         raise ValidationError("cohort is empty")
@@ -408,12 +422,10 @@ def quantile_grid(cohort: Cohort, d: int) -> TimeGrid:
         raise ValidationError("grid size d must be at least 2")
     times = np.sort(cohort.times)
     n = times.size
+    d = min(d, n)
     idx = np.ceil(np.arange(1, d + 1) * n / d).astype(int) - 1
     grid = np.unique(times[idx])
+    grid = grid[grid > 0]
     if grid.size < 2:
         raise ValidationError("degenerate duration distribution: grid collapses to one point")
-    if grid[0] <= 0:
-        grid = grid[grid > 0]
-        if grid.size < 2:
-            raise ValidationError("degenerate duration distribution: grid collapses to one point")
     return TimeGrid(grid)

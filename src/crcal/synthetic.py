@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CifBundle, Cohort, TimeGrid, _fmt, _table
+from .data import CifBundle, Cohort, TimeGrid, _csv_id, _fmt, _table, quantile_grid
 from .errors import ValidationError
 
 N_HEAD = 512
@@ -52,7 +52,7 @@ class WeibullConfig:
         for lo, hi in self.shape_ranges:
             if not 1.0 <= lo <= hi:
                 raise ValidationError("shape ranges must be >= 1 and ordered")
-        if self.censoring_scale is not None and self.censoring_scale <= 0:
+        if self.censoring_scale is not None and not self.censoring_scale > 0:
             raise ValidationError("censoring scale must be positive")
 
     @property
@@ -100,6 +100,8 @@ def generate_cohort(config: WeibullConfig, n: int, seed: int) -> tuple[Cohort, l
     """
     if n < 1:
         raise ValidationError("n must be at least 1")
+    if seed < 0:
+        raise ValidationError("seed must be nonnegative")
     root = np.random.SeedSequence(seed)
     pre_ss, main_ss = root.spawn(2)
     lam0 = config.censoring_scale
@@ -329,25 +331,17 @@ def oracle_cif(latent: LatentRecord, k: int, t: float) -> float:
 
 
 def oracle_survival(latents, times) -> np.ndarray:
-    """Closed-form survival exp(-H(t)) per latent record.
-
-    ``times`` is a scalar, a common 1-D grid, or an (n,) per-sample
-    vector evaluated elementwise; returns an (n, ...) array.
-    """
+    """Closed-form survival exp(-H(t)) of each latent record at common times, shape (n, *times.shape)."""
     lams, shapes = latent_arrays(latents)
     times = np.asarray(times, dtype=float)
-    if times.ndim <= 1 and times.shape != (lams.shape[0],):
-        h = _cum_hazard(lams[:, None, :], shapes[:, None, :], np.atleast_1d(times)[None, :])
-        out = np.exp(-np.minimum(h, 745.0))
-        return out[:, 0] if times.ndim == 0 else out
-    return np.exp(-np.minimum(_cum_hazard(lams, shapes, times), 745.0))
+    h = _cum_hazard(lams[:, None, :], shapes[:, None, :], times.reshape(1, -1))
+    return np.exp(-np.minimum(h, 745.0)).reshape(lams.shape[0], *times.shape)
 
 
 def oracle_bundle(latents, grid: TimeGrid, sample_ids=None) -> CifBundle:
     """Bundle of true CIFs on a grid, satisfying all bundle invariants."""
     values = oracle_values(latents, grid.times)
     values = np.maximum.accumulate(values, axis=2)
-    values = np.clip(values, 0.0, 1.0)
     if sample_ids is None:
         sample_ids = tuple(str(i + 1) for i in range(len(latents)))
     return CifBundle(grid, values, tuple(sample_ids))
@@ -371,6 +365,16 @@ def survival_horizon(latents, eps: float = 1e-6) -> float:
     return float(cut.max())
 
 
+def oracle_grid(cohort: Cohort, latents, d: int) -> TimeGrid:
+    """The cohort's quantile grid of size d, extended by the survival horizon
+    of ``latents`` when that lies past the last quantile (terminal mass)."""
+    grid = quantile_grid(cohort, d)
+    horizon = survival_horizon(latents)
+    if horizon > grid.t_max:
+        return TimeGrid(np.append(grid.times, horizon))
+    return grid
+
+
 def square_distort(bundle: CifBundle) -> CifBundle:
     """Miscalibrated copy of a bundle: every CIF squared, survival absorbs
     the freed mass. Used to exercise the recalibration methods."""
@@ -385,7 +389,7 @@ def latents_to_csv(ids, latents) -> str:
     head = ["id"] + [f"l{j + 1}" for j in range(k)] + [f"s{j + 1}" for j in range(k)]
     head += ["tstar", "dstar", "ctime"]
     rows = (
-        [str(sid), *map(_fmt, rec.lambdas), *map(_fmt, rec.shapes),
+        [_csv_id(str(sid)), *map(_fmt, rec.lambdas), *map(_fmt, rec.shapes),
          _fmt(rec.true_time), str(rec.true_event), _fmt(rec.censor_time)]
         for sid, rec in zip(ids, latents)
     )

@@ -45,6 +45,42 @@ class TestSimulateAndMetrics:
         code = run(["metrics", "--cohort", tmp_path / "nope.csv", "--bundle", tmp_path / "nope2.csv", "--out", tmp_path / "r.json"])
         assert code == 2
 
+    # the cohort is read first, so the bundle need not exist
+    def test_cohort_path_is_a_directory(self, tmp_path, capsys):
+        code = run(["metrics", "--cohort", tmp_path, "--bundle", tmp_path / "b.csv", "--out", tmp_path / "r.json"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {tmp_path}: ")
+
+    def test_cohort_file_not_utf8(self, tmp_path, capsys):
+        (tmp_path / "cohort.csv").write_bytes(b"id,time,event\n\xff,1.0,1\n")
+        code = run(["metrics", "--cohort", tmp_path / "cohort.csv", "--bundle", tmp_path / "b.csv",
+                    "--out", tmp_path / "r.json"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {tmp_path / 'cohort.csv'}: ")
+
+    def test_out_path_is_a_directory(self, tmp_path, capsys):
+        run(["simulate", "--n", 150, "--seed", 4, "--out", tmp_path, "--grid-size", 8])
+        capsys.readouterr()
+        code = run(["metrics", "--cohort", tmp_path / "cohort.csv", "--bundle", tmp_path / "oracle_bundle.csv",
+                    "--out", tmp_path])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: ")
+
+    def test_simulate_out_is_an_existing_file(self, tmp_path, capsys):
+        (tmp_path / "taken").write_text("")
+        code = run(["simulate", "--n", 50, "--seed", 4, "--out", tmp_path / "taken"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path / 'taken' / 'cohort.csv'}: ")
+
+    @pytest.mark.parametrize("settings, message", [
+        (["--seed", -1], "seed must be nonnegative"),
+        (["--seed", 4, "--censoring-scale", "nan"], "censoring scale must be positive"),
+    ])
+    def test_simulate_rejects_bad_settings(self, tmp_path, capsys, settings, message):
+        assert run(["simulate", "--n", 50, "--out", tmp_path / "out", *settings]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_numeric_error_exit_code(self, tmp_path):
         # a censored record whose predicted survival is below the floor
         (tmp_path / "cohort.csv").write_text("id,time,event\n1,1.0,0\n2,2.0,1\n")
@@ -240,6 +276,7 @@ class TestRecalibrateAndEvaluate:
             (["bench", "--seeds", 1], '{"n": "x"}'),
             (["bench", "--seeds", 1], '{"n": 300, "alpha": "abc"}'),
             (["bench", "--seeds", 0], '{"n": 300}'),
+            (["bench", "--seeds", 1], '{"n": 300, "seed": -1}'),
         ],
     )
     def test_malformed_input_exits_two(self, tmp_path, capsys, command, config):

@@ -24,16 +24,19 @@ from crcal.errors import ValidationError
 
 # ids the CSV writer emits unquoted and the parser reads back unchanged
 IDS = st.text(st.characters(codec="ascii", categories=("L", "N")) | st.sampled_from("_-."), min_size=1, max_size=8)
+# ids the writer must quote, mixed with plain ones; the parsers strip an id's
+# leading and trailing whitespace, so those are left out
+CSV_IDS = st.text(st.sampled_from('ab1 ,"\r\n'), max_size=6).filter(lambda s: s == s.strip())
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def cohorts(draw):
+def cohorts(draw, ids=IDS):
     n = draw(st.integers(1, 20))
     k = draw(st.integers(1, 3))
     d = draw(st.integers(0, 3))
     return Cohort(
-        ids=tuple(draw(st.lists(IDS, min_size=n, max_size=n, unique=True))),
+        ids=tuple(draw(st.lists(ids, min_size=n, max_size=n, unique=True))),
         times=draw(hnp.arrays(float, n, elements=st.floats(0.0, allow_infinity=False))),
         events=draw(hnp.arrays(np.int64, n, elements=st.integers(0, k))),
         k_events=k,
@@ -42,14 +45,14 @@ def cohorts(draw):
 
 
 @st.composite
-def bundles(draw):
+def bundles(draw, ids=IDS):
     """Valid bundles with arbitrary float values: a sorted draw per
     (sample, event), divided by K so the event sums stay at most one."""
     n, k, d = draw(st.integers(1, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 6))
     times = draw(hnp.arrays(float, d, elements=st.floats(1e-300, 1e300), unique=True))
     values = np.sort(draw(hnp.arrays(float, (n, k, d), elements=st.floats(0.0, 1.0))), axis=2) / k
     values[:, :, -1] = np.maximum(values[:, :, -1], 0.5 / k)
-    ids = tuple(draw(st.lists(IDS, min_size=n, max_size=n, unique=True)))
+    ids = tuple(draw(st.lists(ids, min_size=n, max_size=n, unique=True)))
     return CifBundle(TimeGrid(np.sort(times)), values, ids)
 
 
@@ -203,7 +206,7 @@ class TestParsersOnArbitraryText:
 
 
 class TestRoundTripProperty:
-    @given(cohorts())
+    @given(cohorts(CSV_IDS))
     def test_cohort_bit_exact(self, cohort):
         again = parse_cohort(cohort_to_csv(cohort), cohort.k_events)
         assert again.ids == cohort.ids
@@ -214,7 +217,7 @@ class TestRoundTripProperty:
         else:
             assert bits(again.covariates) == bits(cohort.covariates)
 
-    @given(bundles())
+    @given(bundles(CSV_IDS))
     def test_bundle_bit_exact(self, bundle):
         again = parse_bundle(bundle_to_csv(bundle), bundle.k_events)
         assert again.sample_ids == bundle.sample_ids
@@ -269,6 +272,16 @@ class TestParseCohort:
     def test_non_finite_time_rejected(self, time):
         with pytest.raises(ValidationError, match="row 2: time must be finite and nonnegative"):
             parse_cohort(f"id,time,event\n1,{time},1\n", k_events=1)
+
+    def test_row_number_is_the_line_a_record_starts_on(self):
+        with pytest.raises(ValidationError, match="row 4: negative time"):
+            parse_cohort('id,time,event\n"a\nb",1.0,1\nc,-1,0\n', k_events=1)
+
+    def test_quoted_ids_written_quoted(self):
+        text = 'id,time,event\n"a,b",1.0,1\n"c""d",2.0,0\n"e\nf",3.0,1\ng h,4.0,0\n'
+        cohort = parse_cohort(text, k_events=1)
+        assert cohort.ids == ("a,b", 'c"d', "e\nf", "g h")
+        assert cohort_to_csv(cohort) == 'id,time,event\n"a,b",1,1\n"c""d",2,0\n"e\nf",3,1\ng h,4,0\n'
 
     def test_duplicate_id_rejected(self):
         with pytest.raises(ValidationError, match="duplicate id"):
@@ -398,6 +411,10 @@ class TestSplitCohort:
         with pytest.raises(ValidationError):
             split_cohort(self._cohort(10), seed=0, fractions=(0.5, 0.5, 0.1))
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be nonnegative"):
+            split_cohort(self._cohort(10), seed=-1)
+
     def test_largest_remainder(self):
         parts = split_cohort(self._cohort(5), seed=3, fractions=(0.4, 0.4, 0.2))
         assert tuple(p.n for p in parts) == (2, 2, 1)
@@ -437,6 +454,32 @@ class TestQuantileGrid:
     def test_degenerate_rejected(self):
         with pytest.raises(ValidationError, match="degenerate"):
             quantile_grid(self._cohort([5.0] * 8), d=4)
+
+    @pytest.mark.parametrize("n", [7, 50, 333])
+    def test_matches_the_uncapped_rule(self, n):
+        # the former body, which allocated d indices for any d
+        def reference(cohort, d):
+            times = np.sort(cohort.times)
+            idx = np.ceil(np.arange(1, d + 1) * n / d).astype(int) - 1
+            grid = np.unique(times[idx])
+            return grid[grid > 0]
+
+        rng = np.random.default_rng(n)
+        # ties and zero times, so that some grids collapse
+        cohort = self._cohort(rng.choice([0.0, 0.5, 1.0, 1.5, 2.0, 5.0, 7.5], size=n))
+        for d in range(2, 3000):
+            want = reference(cohort, d)
+            if want.size < 2:
+                with pytest.raises(ValidationError, match="degenerate"):
+                    quantile_grid(cohort, d)
+            else:
+                assert bits(quantile_grid(cohort, d).times) == bits(want)
+
+    def test_huge_d_gives_every_distinct_positive_time(self):
+        times = np.array([0.0, 3.0, 1.0, 3.0, 2.0, 0.5])
+        # at the former body, d = 10**15 raised MemoryError
+        grid = quantile_grid(self._cohort(times), d=10**15)
+        assert grid.times.tolist() == [0.5, 1.0, 2.0, 3.0]
 
     def test_strictly_increasing_and_max(self):
         rng = np.random.default_rng(5)

@@ -4,7 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import crcal.synthetic as syn
-from crcal.data import TimeGrid
+from crcal.data import Cohort, TimeGrid, quantile_grid
+from crcal.errors import ValidationError
 from crcal.synthetic import (
     LatentRecord,
     WeibullConfig,
@@ -12,6 +13,7 @@ from crcal.synthetic import (
     latents_to_csv,
     oracle_bundle,
     oracle_cif,
+    oracle_grid,
     oracle_survival,
     oracle_values,
     square_distort,
@@ -129,6 +131,15 @@ class TestGenerate:
         frac = (cohort.events == 0).mean()
         assert 0.2 < frac < 0.7
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be nonnegative"):
+            generate_cohort(WeibullConfig(), 10, seed=-1)
+
+    @pytest.mark.parametrize("scale", [float("nan"), 0.0, -1.0])
+    def test_censoring_scale_must_be_positive(self, scale):
+        with pytest.raises(ValidationError, match="censoring scale must be positive"):
+            WeibullConfig(censoring_scale=scale)
+
     def test_covariates_skip_constant_parameters(self):
         cohort, _ = generate_cohort(WeibullConfig(), 50, seed=6)
         # lambda_2 is constant in the default config: 2 scales + 3 shapes
@@ -180,11 +191,14 @@ class TestOracleBundle:
         bundle = oracle_bundle([rec], TimeGrid(np.array([1.0])))
         assert bundle.values.shape == (1, 3, 1)
 
-    def test_conservation_against_closed_form_survival(self):
-        _, latents = generate_cohort(WeibullConfig(), 300, seed=9)
-        grid = np.linspace(0.03, 6.0, 40)
+    # n == m: a grid as long as the sample count is still a common grid
+    @pytest.mark.parametrize("n, m", [(300, 40), (40, 40)])
+    def test_conservation_against_closed_form_survival(self, n, m):
+        _, latents = generate_cohort(WeibullConfig(), n, seed=9)
+        grid = np.linspace(0.03, 6.0, m)
         vals = oracle_values(latents, grid)
         surv = oracle_survival(latents, grid)
+        assert surv.shape == (n, m)
         assert np.abs(vals.sum(axis=1) + surv - 1.0).max() < 1e-5
 
     def test_horizon_realizes_terminal_mass(self):
@@ -193,6 +207,18 @@ class TestOracleBundle:
         assert oracle_survival(latents, horizon).max() <= 1e-6 * 1.0001
         bundle = oracle_bundle(latents, TimeGrid(np.array([0.5, horizon])))
         assert bundle.values[:, :, -1].sum(axis=1).min() >= 1 - 1e-5
+
+    def test_oracle_grid_appends_a_later_horizon(self):
+        cohort, latents = generate_cohort(WeibullConfig(), 200, seed=10)
+        grid = oracle_grid(cohort, latents, 16)
+        assert grid.times[:-1].tolist() == quantile_grid(cohort, 16).times.tolist()
+        assert grid.t_max == survival_horizon(latents) > cohort.times.max()
+
+    def test_oracle_grid_keeps_a_quantile_grid_past_the_horizon(self):
+        _, latents = generate_cohort(WeibullConfig(), 3, seed=10)
+        late = 2.0 * survival_horizon(latents)
+        cohort = Cohort(("1", "2", "3"), np.array([0.5, 1.0, late]), np.array([1, 0, 2]), 3)
+        assert oracle_grid(cohort, latents, 16).times.tolist() == [0.5, 1.0, late]
 
     def test_event_frequencies_match_terminal_mass(self):
         cfg = WeibullConfig(censoring_scale=1e12)

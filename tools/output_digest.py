@@ -22,7 +22,18 @@ moved, to the last bit. Each line is ``<label> <sha256>``. The set:
 - ``error/<cohort|bundle>/<fault>``: the exit code and stderr of ``crcal
   metrics`` on a fixed set of malformed cohort and bundle CSVs, each read
   beside a valid file of the other kind, so the parsers' error path is
-  compared as well.
+  compared as well;
+- ``edge/<case>``: the exit code and stderr of crcal runs on unreadable and
+  unwritable paths, a negative seed, a NaN censoring scale and a record
+  spanning two lines; ``edge/huge_grid/<file>``, every file of a
+  ``simulate --grid-size 10**15`` run; ``edge/quoted_ids``, a cohort and a
+  bundle whose ids need quoting, written and read back; and
+  ``edge/oracle_survival``, the closed-form survival of 5 samples on a
+  5-point grid.
+
+A case that raises where a run or call should return is digested as
+``raised <ExceptionType>``, so one tree's failure shows in the diff without
+stopping the listing.
 
 Scratch files go to a temporary directory (``TMPDIR``) that is removed at
 the end.
@@ -156,19 +167,82 @@ MALFORMED = {
 }
 
 
-def error_outputs(work: Path) -> list[tuple[str, str]]:
+def _exit(work: Path, *argv) -> str:
+    """Exit code and stderr of one crcal run, or the exception it raised."""
     from crcal import cli
 
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as stderr:
+        try:
+            rc = cli.main([str(a) for a in argv])
+        except Exception as exc:
+            return f"raised {type(exc).__name__}"
+    return f"{rc} {stderr.getvalue()}".replace(str(work), "<work>")
+
+
+def _write_csv(path: Path, lines: list[str]) -> Path:
+    path.write_text("".join(line + "\n" for line in lines))
+    return path
+
+
+def error_outputs(work: Path) -> list[tuple[str, str]]:
     out = []
     for kind, faults in MALFORMED.items():
         for fault, lines in faults.items():
             files = {"cohort": COHORT, "bundle": BUNDLE, kind: lines}
             for name, text in files.items():
-                (work / f"{name}.csv").write_text("".join(line + "\n" for line in text))
-            with contextlib.redirect_stderr(io.StringIO()) as stderr:
-                rc = cli.main(["metrics", "--cohort", str(work / "cohort.csv"), "--bundle", str(work / "bundle.csv"),
-                               "--k-events", "1", "--out", str(work / "metrics.json")])
-            out.append((f"error/{kind}/{fault}", _sha(f"{rc} {stderr.getvalue()}".replace(str(work), "<work>"))))
+                _write_csv(work / f"{name}.csv", text)
+            result = _exit(work, "metrics", "--cohort", work / "cohort.csv", "--bundle", work / "bundle.csv",
+                           "--k-events", "1", "--out", work / "metrics.json")
+            out.append((f"error/{kind}/{fault}", _sha(result)))
+    return out
+
+
+def edge_outputs(work: Path) -> list[tuple[str, str]]:
+    import numpy as np
+
+    from crcal import data, synthetic
+
+    cohort = _write_csv(work / "edge_cohort.csv", COHORT)
+    bundle = _write_csv(work / "edge_bundle.csv", BUNDLE)
+    two_lines = _write_csv(work / "two_lines.csv", ["id,time,event", '"a', 'b",1.0,1', "c,-1,0"])
+    (work / "not_utf8.csv").write_bytes(b"id,time,event\n\xff,1.0,1\n")
+    (work / "taken").write_text("")
+    (work / "bench.json").write_text(json.dumps({"n": 300, "seed": -1}))
+    metrics = ("metrics", "--k-events", "1", "--bundle", bundle)
+    runs = {
+        "read_directory": (*metrics, "--cohort", work, "--out", work / "m.json"),
+        "read_not_utf8": (*metrics, "--cohort", work / "not_utf8.csv", "--out", work / "m.json"),
+        "write_directory": (*metrics, "--cohort", cohort, "--out", work),
+        "simulate_into_a_file": ("simulate", "--n", "20", "--seed", "1", "--out", work / "taken"),
+        "simulate_negative_seed": ("simulate", "--n", "20", "--seed", "-1", "--out", work / "neg"),
+        "bench_negative_seed": ("bench", "--config", work / "bench.json", "--seeds", "1", "--out", work / "neg"),
+        "simulate_nan_censoring": ("simulate", "--n", "20", "--seed", "1", "--censoring-scale", "nan",
+                                   "--out", work / "nan"),
+        "record_on_two_lines": (*metrics, "--cohort", two_lines, "--out", work / "m.json"),
+    }
+    out = [(f"edge/{name}", _sha(_exit(work, *argv))) for name, argv in runs.items()]
+
+    huge = work / "huge_grid"
+    result = _exit(work, "simulate", "--n", "50", "--seed", "5", "--grid-size", str(10**15), "--out", huge)
+    out.append(("edge/huge_grid", _sha(result)))
+    if huge.is_dir():
+        out += _tree("edge/huge_grid", huge)
+
+    try:
+        quoted = data.parse_cohort('id,time,event\n"a,b",1.0,1\n"c""d",2.0,0\n"e\nf",3.0,1\n', 1)
+        text = data.cohort_to_csv(quoted)
+        again = data.parse_cohort(text, 1)
+        grid = data.TimeGrid(np.array([1.0, 2.0]))
+        texts = [text, data.bundle_to_csv(data.CifBundle(grid, np.full((3, 1, 2), 0.5), again.ids))]
+        texts.append(repr(data.parse_bundle(texts[1], 1).sample_ids))
+        digest = _sha("".join(texts))
+    except Exception as exc:
+        digest = f"raised {type(exc).__name__}"
+    out.append(("edge/quoted_ids", digest))
+
+    _, latents = synthetic.generate_cohort(synthetic.WeibullConfig(), 5, 6)
+    surv = synthetic.oracle_survival(latents, np.linspace(0.2, 1.0, 5))
+    out.append(("edge/oracle_survival", _sha(f"{surv.shape} {surv.tobytes().hex()}")))
     return out
 
 
@@ -180,7 +254,7 @@ def main(argv: list[str]) -> int:
         return 2
     sys.path.insert(0, str(src))
     with tempfile.TemporaryDirectory() as tmp:
-        lines = score_outputs() + cli_outputs(Path(tmp)) + error_outputs(Path(tmp))
+        lines = score_outputs() + cli_outputs(Path(tmp)) + error_outputs(Path(tmp)) + edge_outputs(Path(tmp))
     for label, digest in lines:
         print(label, digest)
     return 0
