@@ -47,8 +47,11 @@ DEFAULT_FRACTIONS = (0.4, 0.4, 0.2)
 
 
 def _read(path: str) -> str:
+    """A file's text with its line ends as written, so that the CSV reader
+    sees a CR inside a quoted field."""
     try:
-        return Path(path).read_text()
+        with open(path, newline="") as f:
+            return f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
 
@@ -159,13 +162,20 @@ def _bench_settings(text: str) -> dict:
         config = json.loads(text)
         if not isinstance(config, dict):
             raise TypeError("the config must be a JSON object")
+
+        def integer(key: str, default=None) -> int:
+            value = config[key] if default is None else config.get(key, default)
+            if type(value) is not int:
+                raise TypeError(f"{key} must be an integer, got {value!r}")
+            return value
+
         scale = config.get("censoring_scale")
         return {
-            "n": int(config["n"]),
-            "seed": int(config.get("seed", 0)),
-            "grid_size": int(config.get("grid_size", DEFAULT_GRID_SIZE)),
+            "n": integer("n"),
+            "seed": integer("seed", 0),
+            "grid_size": integer("grid_size", DEFAULT_GRID_SIZE),
             "model": config.get("model", "aj"),
-            "params": MetricParams(float(config.get("alpha", 2.0)), int(config.get("rho_steps", 100))),
+            "params": MetricParams(float(config.get("alpha", 2.0)), integer("rho_steps", 100)),
             "level": float(config.get("level", 0.05)),
             "fractions": tuple(float(f) for f in config.get("fractions", DEFAULT_FRACTIONS)),
             "weibull": WeibullConfig(censoring_scale=None if scale is None else float(scale)),

@@ -14,12 +14,15 @@ import io
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import chain, cycle, repeat
+from operator import add
 
 import numpy as np
 
 from .errors import ValidationError
 
 SUM_TOL = 1e-6
+_BUNDLE_COLUMNS = ["sample_id", "event", "time", "cif"]
 
 
 def _fmt(x: float) -> str:
@@ -326,11 +329,97 @@ def parse_bundle(csv_text: str, k_events: int) -> CifBundle:
 
     Every (sample, event) pair must cover the identical set of times; the
     grid is the sorted set of distinct times. Row order is free; samples
-    keep the order in which they first appear.
+    keep the order in which they first appear. Text the block parser takes
+    as plain is read by columns; anything else, and every error, goes
+    through the row parser.
     """
+    bundle = _plain_bundle(csv_text, k_events)
+    return _row_bundle(csv_text, k_events) if bundle is None else bundle
+
+
+_BLOCK = 1 << 16  # characters per slice of a plain bundle; each slice ends at a line end
+
+
+def _plain_bundle(csv_text: str, k_events: int) -> CifBundle | None:
+    """The bundle of text with no quote, CR or NUL (which some Python versions'
+    csv rejects), parsed slice by slice into columns, or None when anything
+    is irregular: a wrong header or field count, a blank line, a field over
+    csv's size limit, a value the row parser rejects, a repeated or missing
+    cell. Values go through the row parser's built-ins, once per distinct
+    string for ids, events and times, so a bundle found here is the one
+    :func:`_row_bundle` returns."""
+    if any(c in csv_text for c in '"\r\0'):
+        return None
+    start = csv_text.find("\n") + 1
+    stop = len(csv_text) - csv_text.endswith("\n")
+    if not start or stop <= start or [h.strip() for h in csv_text[: start - 1].split(",")] != _BUNDLE_COLUMNS:
+        return None
+    rows = csv_text.count("\n", start, stop) + 1
+    index: dict[str, int] = {}  # stripped id -> sample
+    sample_of: dict[str, int] = {}  # id field -> sample
+    event_of: dict[str, int] = {}  # event field -> event - 1
+    time_of: dict[str, int] = {}  # time field -> position in times
+    times: list[float] = []
+    cells, time_cols, cifs = np.empty(rows, dtype=np.intp), np.empty(rows, dtype=np.intp), np.empty(rows)
+    limit = csv.field_size_limit()
+    row = 0
+    try:
+        while row < rows:
+            end = csv_text.find("\n", start + _BLOCK, stop)
+            block = csv_text[start : stop if end < 0 else end]
+            start += len(block) + 1
+            if set(map(str.count, block.split("\n"), repeat(","))) != {3}:
+                return None
+            fields = block.replace("\n", ",").split(",")
+            if len(block) > limit and max(map(len, fields)) > limit:
+                return None
+            ids, evs, ts, cs = (fields[j::4] for j in range(4))
+            for sid in dict.fromkeys(ids):
+                if sid not in sample_of:
+                    sample_of[sid] = index.setdefault(sid.strip(), len(index))
+            for ev in set(evs) - event_of.keys():
+                label = int(ev)
+                if not 1 <= label <= k_events:
+                    return None
+                event_of[ev] = label - 1
+            for t in set(ts) - time_of.keys():
+                value = float(t)
+                if not (math.isfinite(value) and value > 0):
+                    return None
+                time_of[t] = len(times)
+                times.append(value)
+            block_rows = slice(row, row + len(ids))
+            cells[block_rows] = np.fromiter(map(sample_of.__getitem__, ids), np.intp, len(ids))
+            cells[block_rows] *= k_events
+            cells[block_rows] += np.fromiter(map(event_of.__getitem__, evs), np.intp, len(ids))
+            time_cols[block_rows] = np.fromiter(map(time_of.__getitem__, ts), np.intp, len(ids))
+            cifs[block_rows] = np.fromiter(map(float, cs), float, len(ids))
+            row += len(ids)
+    except ValueError:
+        return None
+    if not np.all((cifs >= 0.0) & (cifs <= 1.0)):
+        return None
+    ids = tuple(index)
+    grid_times, col = np.unique(np.array(times), return_inverse=True)
+    n, d = len(ids), grid_times.size
+    if rows != n * k_events * d:
+        return None
+    flat = cells * d + col[time_cols]
+    filled = np.zeros(rows, dtype=bool)
+    filled[flat] = True
+    if not filled.all():
+        return None
+    values = np.empty(rows)
+    values[flat] = cifs
+    return CifBundle(TimeGrid(grid_times), values.reshape(n, k_events, d), ids)
+
+
+def _row_bundle(csv_text: str, k_events: int) -> CifBundle:
+    """The row parser: one pass over the rows into flat arrays, then one
+    scatter. It words every bundle error, with the row it was found on."""
     index: dict[str, int] = {}
     row_nos, cells, times, cifs = array("q"), array("q"), array("d"), array("d")
-    for row_no, row in _csv_records(csv_text, "bundle", ["sample_id", "event", "time", "cif"]):
+    for row_no, row in _csv_records(csv_text, "bundle", _BUNDLE_COLUMNS):
         try:
             ev, t, cif = int(row[1]), float(row[2]), float(row[3])
         except ValueError:
@@ -368,13 +457,25 @@ def parse_bundle(csv_text: str, k_events: int) -> CifBundle:
     return CifBundle(TimeGrid(grid_times), values.reshape(n, k_events, d), ids)
 
 
+_WRITE_ROWS = 4096  # rows of a bundle formatted per slice
+
+
 def bundle_to_csv(bundle: CifBundle) -> str:
-    """Serialize a bundle; inverse of :func:`parse_bundle`."""
-    times = [_fmt(t) for t in bundle.grid.times.tolist()]
-    pairs = [(sid, str(k + 1)) for sid in map(_csv_id, bundle.sample_ids) for k in range(bundle.k_events)]
-    cifs = map(_fmt, bundle.values.ravel().tolist())
-    rows = ((sid, ev, t, next(cifs)) for sid, ev in pairs for t in times)
-    return _table(["sample_id", "event", "time", "cif"], rows)
+    """Serialize a bundle; inverse of :func:`parse_bundle`. Each grid time and
+    each (sample, event) head is formatted once, and the rows are joined a
+    slice of samples at a time, so no list of every row is held."""
+    n, k, d = bundle.values.shape
+    times = [f",{t}," for t in map(_fmt, bundle.grid.times.tolist())]
+    heads = [f"{sid},{ev}" for sid in map(_csv_id, bundle.sample_ids) for ev in range(1, k + 1)]
+    values = bundle.values.reshape(n * k, d)
+    step = max(1, _WRITE_ROWS // d)
+    parts = [",".join(_BUNDLE_COLUMNS)]
+    for i in range(0, n * k, step):
+        prefixes = map(add, chain.from_iterable(map(repeat, heads[i : i + step], repeat(d))), cycle(times))
+        # tolist gives Python floats, on which format(x, ".17g") is _fmt(x)
+        cifs = map(format, values[i : i + step].ravel().tolist(), repeat(".17g"))
+        parts.append("\n".join(map(add, prefixes, cifs)))
+    return "\n".join([*parts, ""])
 
 
 def split_cohort(

@@ -101,6 +101,37 @@ class TestSimulateAndMetrics:
         assert code == 3
 
 
+class TestLineEnds:
+    def test_crlf_files_give_the_lf_report(self, tmp_path):
+        run(["simulate", "--n", 150, "--seed", 4, "--out", tmp_path, "--grid-size", 8])
+        reports = []
+        for name, line_end in (("lf", "\n"), ("crlf", "\r\n")):
+            paths = []
+            for csv_name in ("cohort.csv", "oracle_bundle.csv"):
+                path = tmp_path / f"{name}_{csv_name}"
+                path.write_bytes((tmp_path / csv_name).read_bytes().replace(b"\n", line_end.encode()))
+                paths.append(path)
+            out = tmp_path / f"{name}.json"
+            assert run(["metrics", "--cohort", paths[0], "--bundle", paths[1], "--out", out]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_cr_in_a_quoted_id_survives_replication(self, tmp_path):
+        (tmp_path / "cohort.csv").write_bytes(b'id,time,event\n"a\rb",1.0,1\nc,2.0,0\nd,3.0,1\n')
+        code = run(["aj", "--cohort", tmp_path / "cohort.csv", "--out", tmp_path / "curves", "--k-events", 1,
+                    "--replicate-for", tmp_path / "cohort.csv", "--bundle-out", tmp_path / "bundle.csv"])
+        assert code == 0
+        text = (tmp_path / "bundle.csv").read_bytes().decode()
+        assert parse_bundle(text, k_events=1).sample_ids == ("a\rb", "c", "d")
+
+    def test_bare_cr_line_ends_are_malformed(self, tmp_path, capsys):
+        (tmp_path / "cohort.csv").write_bytes(b"id,time,event\r1,1.0,1\r2,2.0,0\r")
+        code = run(["aj", "--cohort", tmp_path / "cohort.csv", "--out", tmp_path / "curves", "--k-events", 1])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: line 1: malformed CSV (")
+        assert not (tmp_path / "curves").exists()
+
+
 class TestAjCommand:
     def test_curves_and_replication(self, tmp_path):
         run(["simulate", "--n", 100, "--seed", 5, "--out", tmp_path, "--grid-size", 8])
@@ -277,6 +308,14 @@ class TestRecalibrateAndEvaluate:
             (["bench", "--seeds", 1], '{"n": 300, "alpha": "abc"}'),
             (["bench", "--seeds", 0], '{"n": 300}'),
             (["bench", "--seeds", 1], '{"n": 300, "seed": -1}'),
+            (["bench", "--seeds", 1], '{"n": 300.7, "seed": 2.9, "grid_size": 8.5, "model": "oracle"}'),
+            (["bench", "--seeds", 1], '{"n": 300.7, "model": "oracle"}'),
+            (["bench", "--seeds", 1], '{"n": "300", "model": "oracle"}'),
+            (["bench", "--seeds", 1], '{"n": true, "model": "oracle"}'),
+            (["bench", "--seeds", 1], '{"n": 300, "seed": 2.9, "model": "oracle"}'),
+            (["bench", "--seeds", 1], '{"n": 300, "seed": false, "model": "oracle"}'),
+            (["bench", "--seeds", 1], '{"n": 300, "grid_size": 8.5, "model": "oracle"}'),
+            (["bench", "--seeds", 1], '{"n": 300, "rho_steps": 10.5, "model": "oracle"}'),
         ],
     )
     def test_malformed_input_exits_two(self, tmp_path, capsys, command, config):

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from crcal.data import (
     parse_cohort,
     quantile_grid,
     split_cohort,
+    _plain_bundle,
 )
+from crcal import data
 from crcal.errors import ValidationError
 
 
@@ -245,6 +248,80 @@ class TestAgainstReference:
     def test_parser_on_single_faults(self, case):
         k, text = case
         assert parsed(parse_bundle, text, k) == parsed(reference_parse_bundle, text, k)
+
+
+def _peak_bytes(fn, *args):
+    """The traced memory peak of one call, its result included."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPlainPath:
+    @given(bundles())
+    def test_takes_the_writers_output(self, bundle):
+        # ids of IDS need no quoting, so the writer's text is plain, with or
+        # without its last line end
+        text = bundle_to_csv(bundle)
+        want = parsed(reference_parse_bundle, text, bundle.k_events)
+        for plain_text in (text, text[:-1]):
+            got = _plain_bundle(plain_text, bundle.k_events)
+            assert got is not None
+            assert (got.sample_ids, bits(got.grid.times), bits(got.values)) == want
+
+    @given(bundles(CSV_IDS))
+    def test_crlf_line_ends_take_the_row_path(self, bundle):
+        text = bundle_to_csv(bundle).replace("\n", "\r\n")
+        assert _plain_bundle(text, bundle.k_events) is None
+        got = parsed(parse_bundle, text, bundle.k_events)
+        assert not isinstance(got, str)
+        assert got == parsed(reference_parse_bundle, text, bundle.k_events)
+
+    @pytest.mark.parametrize("block", [1, 10, 100])
+    @settings(max_examples=100)
+    @given(faulty_bundle_texts(), st.sampled_from(["", "\n", "\n\n", "drop"]))
+    def test_slice_size_and_text_end(self, block, case, end):
+        # small slices make a slice end at the last line end; a blank last
+        # line or none at all must still be read as the row parser reads it
+        k, text = case
+        text = text[:-1] if end == "drop" else text + end
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data, "_BLOCK", block)
+            assert parsed(parse_bundle, text, k) == parsed(reference_parse_bundle, text, k)
+
+    @pytest.mark.parametrize("rows", [["a,1,1.0", "0.2,a,1,2.0,0.5"], ["1,1,0.5", "0.5,1,1,0.5,0.5"]])
+    def test_short_row_then_long_row(self, rows):
+        # the two lines hold 8 fields, as two good rows would
+        text = "\n".join(["sample_id,event,time,cif", *rows]) + "\n"
+        with pytest.raises(ValidationError, match=r"^row 2: expected 4 fields$"):
+            parse_bundle(text, k_events=1)
+
+    def test_repeated_row_in_place_of_a_missing_one(self):
+        # as many rows as cells, but not one per cell
+        text = "sample_id,event,time,cif\na,1,1,0.1\na,1,2,0.3\nb,1,1,0.1\nb,1,1,0.1\n"
+        with pytest.raises(ValidationError, match=r"^row 5: duplicate time for sample 'b' event 1$"):
+            parse_bundle(text, k_events=1)
+
+    def test_field_over_the_csv_size_limit(self):
+        sid = "x" * (csv.field_size_limit() + 1)
+        with pytest.raises(ValidationError, match="^line 2: malformed CSV"):
+            parse_bundle(f"sample_id,event,time,cif\n{sid},1,1.0,0.5\n", k_events=1)
+
+    def test_memory_peak_and_many_slices(self):
+        rng = np.random.default_rng(0)
+        values = np.sort(rng.uniform(0.01, 0.33, (150, 3, 65)), axis=2)
+        grid = TimeGrid(np.cumsum(rng.uniform(0.01, 0.2, 65)))
+        bundle = CifBundle(grid, values, tuple(str(i) for i in range(1, 151)))
+        text = bundle_to_csv(bundle)
+        # the text spans many of the parser's slices
+        assert text == reference_bundle_to_csv(bundle)
+        assert parsed(parse_bundle, text, 3) == parsed(reference_parse_bundle, text, 3)
+        # a writer holds its parts and their join, so it cannot go below 2x
+        assert _peak_bytes(parse_bundle, text, 3) < 2 * len(text)
+        assert _peak_bytes(bundle_to_csv, bundle) < 3 * len(text)
 
 
 class TestParseCohort:

@@ -27,9 +27,14 @@ moved, to the last bit. Each line is ``<label> <sha256>``. The set:
   unwritable paths, a negative seed, a NaN censoring scale and a record
   spanning two lines; ``edge/huge_grid/<file>``, every file of a
   ``simulate --grid-size 10**15`` run; ``edge/quoted_ids``, a cohort and a
-  bundle whose ids need quoting, written and read back; and
+  bundle whose ids need quoting, written and read back;
   ``edge/oracle_survival``, the closed-form survival of 5 samples on a
-  5-point grid.
+  5-point grid; and, each with the file the run writes, ``crcal metrics``
+  on a CRLF cohort and bundle (``edge/crlf_metrics``), on a cohort with
+  bare CR line ends (``edge/bare_cr_cohort``) and on a bundle whose short
+  row and long row add up to two rows' fields
+  (``edge/short_then_long_bundle``), and ``crcal aj --replicate-for`` on
+  a cohort with a CR inside a quoted id (``edge/quoted_cr_replication``).
 
 A case that raises where a run or call should return is digested as
 ``raised <ExceptionType>``, so one tree's failure shows in the diff without
@@ -239,6 +244,31 @@ def edge_outputs(work: Path) -> list[tuple[str, str]]:
     except Exception as exc:
         digest = f"raised {type(exc).__name__}"
     out.append(("edge/quoted_ids", digest))
+
+    # line ends: CRLF files, a CR inside a quoted id, bare CR line ends, and a
+    # short row followed by a long one, whose fields add up to two rows
+    ended = {
+        "crlf_cohort": (COHORT, "\r\n"),
+        "crlf_bundle": (BUNDLE, "\r\n"),
+        "cr_cohort": (COHORT, "\r"),
+        "cr_id_cohort": (["id,time,event", '"a\rb",1.0,1', "c,2.0,0", "d,3.0,1"], "\n"),
+    }
+    for name, (lines, end) in ended.items():
+        (work / f"{name}.csv").write_bytes("".join(line + end for line in lines).encode())
+    short_long = _write_csv(work / "short_long.csv", BUNDLE[:3] + ["b,1,1", "0.1,b,1,2,0.3"] + BUNDLE[5:])
+    cr_id = work / "cr_id_cohort.csv"
+    runs = {  # each run's arguments end with the option naming the file it writes
+        "crlf_metrics": ("metrics", "--k-events", "1", "--cohort", work / "crlf_cohort.csv",
+                         "--bundle", work / "crlf_bundle.csv", "--out"),
+        "quoted_cr_replication": ("aj", "--k-events", "1", "--cohort", cr_id, "--out", work / "cr_curves",
+                                  "--replicate-for", cr_id, "--bundle-out"),
+        "bare_cr_cohort": (*metrics, "--cohort", work / "cr_cohort.csv", "--out"),
+        "short_then_long_bundle": ("metrics", "--k-events", "1", "--cohort", cohort, "--bundle", short_long, "--out"),
+    }
+    for name, argv in runs.items():
+        written = work / f"{name}.out"
+        result = _exit(work, *argv, written).encode() + (written.read_bytes() if written.is_file() else b"")
+        out.append((f"edge/{name}", _sha(result)))
 
     _, latents = synthetic.generate_cohort(synthetic.WeibullConfig(), 5, 6)
     surv = synthetic.oracle_survival(latents, np.linspace(0.2, 1.0, 5))
