@@ -271,7 +271,10 @@ def _csv_records(csv_text: str, kind: str, columns: list[str], prefix: bool = Fa
                 raise ValidationError(f"row {row_no}: expected {len(header)} fields{got}")
             yield row_no, row
     except csv.Error as exc:
-        raise ValidationError(f"line {reader.line_num}: malformed CSV ({exc})") from None
+        # csv's hint for a CR that no LF follows names Python's open modes
+        bare_cr = "new-line character seen in unquoted field" in str(exc)
+        detail = "bare CR line end; end lines with LF or CRLF" if bare_cr else exc
+        raise ValidationError(f"line {reader.line_num}: malformed CSV ({detail})") from None
 
 
 def parse_cohort(csv_text: str, k_events: int) -> Cohort:

@@ -167,11 +167,12 @@ def _normalized_vectors(bundle: CifBundle, taus: np.ndarray) -> np.ndarray:
     return p / totals
 
 
-def _power_scale(log_p: np.ndarray, beta) -> np.ndarray:
+def _power_scale(log_p: np.ndarray, top: np.ndarray, beta) -> np.ndarray:
     """Event shares, shape (K, n, m), of the event-major log vectors log_p
-    (K+1, n, m), survival first, raised to beta per time and renormalized."""
+    (K+1, n, m), survival first, raised to beta per time and renormalized.
+    ``top`` is log_p.max(axis=0): fl(beta x) is monotone in x for beta > 0."""
     z = beta * log_p
-    z -= z.max(axis=0)
+    z -= beta * top
     np.exp(z, out=z)
     z[1:] /= z.sum(axis=0)
     return z[1:]
@@ -192,9 +193,10 @@ def fit_temperature(cal_cohort: Cohort, cal_bundle: CifBundle, grid: TimeGrid) -
     curves = aalen_johansen(cal_cohort)
     targets = curves.cifs_at(grid.times)
     log_p = np.log(_normalized_vectors(cal_bundle, grid.times) + _LOGIT_EPS)
+    top = log_p.max(axis=0)
 
     def gap(beta) -> np.ndarray:
-        means = _sample_mean(_power_scale(log_p, beta).transpose(1, 0, 2))
+        means = _sample_mean(_power_scale(log_p, top, beta).transpose(1, 0, 2))
         return np.abs(means - targets).sum(axis=0)
 
     def gap_at_log(lb: np.ndarray) -> np.ndarray:
@@ -236,7 +238,7 @@ def apply_temperature(bundle: CifBundle, rmap: RecalibrationMap) -> Recalibrated
     taus = bundle.grid.times
     beta = step_values(rmap.grid.times, rmap.temperatures, taus, 1.0)
     log_p = np.log(_normalized_vectors(bundle, taus) + _LOGIT_EPS)
-    events = np.ascontiguousarray(_power_scale(log_p, beta).transpose(1, 0, 2))
+    events = np.ascontiguousarray(_power_scale(log_p, log_p.max(axis=0), beta).transpose(1, 0, 2))
     # an underflowed survival coordinate would leave the event sum at
     # exactly one; keep the same headroom as the projection repairs
     sums = events.sum(axis=1, keepdims=True)

@@ -15,6 +15,9 @@ substituted head piece (absorbs the s^(S-1) origin behavior for shapes
 below 2) and a uniform body piece, both with Euler-Maclaurin endpoint
 corrections; the domain is truncated where H exceeds 40 (mass below
 e^-40). Absolute error is below 1e-6 across the configured ranges.
+Samples go through in chunks of _CHUNK, which set up the meshes and read
+the values; each chunk builds its cumulative table in row blocks of
+_BLOCK, so beside its output the oracle holds under 16 MB whatever n is.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ N_HEAD = 512
 N_BODY = 1536
 H_CUT = 40.0
 _CHUNK = 256
+_BLOCK = 32
 
 DEFAULT_SCALE_RANGES = ((0.4, 0.9), (1.0, 1.0), (1.2, 3.0))
 DEFAULT_SHAPE_RANGES = ((1.0, 20.0), (1.0, 10.0), (1.5, 5.0))
@@ -194,7 +198,7 @@ def _integrand(lams, shapes, s, out, eos, qs=None):
 
 
 def _workspace(c: int, k: int) -> dict:
-    """Preallocated buffers reused across chunks of up to c samples."""
+    """Preallocated table buffers reused across row blocks of up to c samples."""
     mn = N_HEAD + N_BODY + 1
     v = np.linspace(0.0, 1.0, N_HEAD + 1)[1:]
     return {
@@ -209,24 +213,13 @@ def _workspace(c: int, k: int) -> dict:
     }
 
 
-def _chunk_values(lams, shapes, read_times, ws):
-    """Oracle CIF values for one chunk at per-sample read times (c, m).
-
-    Builds a cumulative trapezoid table over the 2048-panel mesh (cubic-
-    substituted head on [0, s1], uniform body on [s1, s_hi], domain cut
-    where the total cumulative hazard exceeds H_CUT), then reads it with
-    Euler-Maclaurin endpoint corrections and a partial-panel trapezoid at
-    each requested time.
-    """
-    c, k = lams.shape
-    m = read_times.shape[1]
-    t_top = np.maximum(read_times.max(axis=1), 1e-30)
-    h_at_top = _cum_hazard(lams, shapes, t_top)
-    s_hi = np.where(h_at_top > H_CUT, _hazard_inverse(lams, shapes, H_CUT, t_top), t_top)
-    s1 = np.minimum(0.25 * lams.min(axis=1), s_hi)
+def _trapezoid_table(lams, shapes, s1, s_hi, ws):
+    """The cumulative trapezoid table (c, K, N_HEAD + N_BODY + 1) of one row
+    block, built in the workspace over each sample's mesh: cubic-substituted
+    head on [0, s1], uniform body on [s1, s_hi]."""
+    c = lams.shape[0]
     dv = 1.0 / N_HEAD
     db = (s_hi - s1) / N_BODY
-
     # explicit nodes: head at s1 v^3 for v = dv..1, body at s1..s_hi
     s_nodes = ws["s_nodes"][:c]
     np.multiply(s1[:, None], ws["v3"][None, :], out=s_nodes[:, :N_HEAD])
@@ -245,6 +238,27 @@ def _chunk_values(lams, shapes, read_times, ws):
     incr[:, :, N_HEAD:] *= (0.5 * db)[:, None, None]
     table = ws["table"][:c]
     np.cumsum(incr, axis=2, out=table[:, :, 1:])
+    return table
+
+
+def _chunk_values(lams, shapes, read_times, ws):
+    """Oracle CIF values for one chunk at per-sample read times (c, m).
+
+    The chunk sets up each sample's 2048-panel mesh (domain cut where the
+    total cumulative hazard exceeds H_CUT) and reads it with Euler-Maclaurin
+    endpoint corrections and a partial-panel trapezoid at each read time.
+    The cumulative table is built and gathered in row blocks of _BLOCK, a
+    fixed working set; every step is row-wise, so values do not depend on
+    either size.
+    """
+    c, k = lams.shape
+    m = read_times.shape[1]
+    t_top = np.maximum(read_times.max(axis=1), 1e-30)
+    h_at_top = _cum_hazard(lams, shapes, t_top)
+    s_hi = np.where(h_at_top > H_CUT, _hazard_inverse(lams, shapes, H_CUT, t_top), t_top)
+    s1 = np.minimum(0.25 * lams.min(axis=1), s_hi)
+    dv = 1.0 / N_HEAD
+    db = (s_hi - s1) / N_BODY
 
     # analytic mesh position of every read time
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -255,7 +269,13 @@ def _chunk_values(lams, shapes, read_times, ws):
     in_head = read_times <= s1[:, None]
     pos = np.where(in_head, frac_head * N_HEAD, N_HEAD + frac_body * N_BODY)
     i0 = np.clip(pos.astype(np.int64), 0, N_HEAD + N_BODY - 1)
-    base = np.take_along_axis(table, np.broadcast_to(i0[:, None, :], (c, k, m)), axis=2)
+    base = np.empty((c, k, m))
+    terminal = np.empty((c, k))
+    for start in range(0, c, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        table = _trapezoid_table(lams[rows], shapes[rows], s1[rows], s_hi[rows], ws)
+        base[rows] = np.take_along_axis(table, np.broadcast_to(i0[rows, None, :], (len(table), k, m)), axis=2)
+        terminal[rows] = table[:, :, -1]
 
     # integrand and derivative at the node below each read, the read time
     # itself, and the piece boundaries (for the endpoint corrections)
@@ -291,7 +311,7 @@ def _chunk_values(lams, shapes, read_times, ws):
     vals = base - corr + partial
     # reads past the truncated domain return the terminal value so the
     # curve stays exactly flat there
-    end_val = table[:, :, -1] - (dv * dv / 12.0) * gp_one - (db * db)[:, None] / 12.0 * (fp_shi - fp_s1)
+    end_val = terminal - (dv * dv / 12.0) * gp_one - (db * db)[:, None] / 12.0 * (fp_shi - fp_s1)
     truncated = read_times > s_hi[:, None] * (1.0 + 1e-12)
     if truncated.any():
         vals = np.where(truncated[:, None, :], end_val[:, :, None], vals)
@@ -312,7 +332,7 @@ def oracle_values(latents, read_times: np.ndarray) -> np.ndarray:
         raise ValidationError("per-sample read times must align with latents")
     m = read_times.shape[-1]
     out = np.empty((n, lams.shape[1], m))
-    ws = _workspace(min(n, _CHUNK), lams.shape[1])
+    ws = _workspace(min(n, _BLOCK), lams.shape[1])
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
         rt = np.broadcast_to(read_times, (stop - start, m)) if common else read_times[start:stop]

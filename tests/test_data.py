@@ -332,6 +332,11 @@ class TestParseCohort:
         assert cohort.times.tolist() == [1.0, 2.0]
         assert cohort.covariates is None
 
+    def test_bare_cr_line_ends_are_named(self):
+        message = r"^line 1: malformed CSV \(bare CR line end; end lines with LF or CRLF\)$"
+        with pytest.raises(ValidationError, match=message):
+            parse_cohort("id,time,event\r1,1.0,1\r2,2.0,0\r", k_events=1)
+
     def test_event_out_of_range(self):
         with pytest.raises(ValidationError, match="out of range"):
             parse_cohort("id,time,event\n1,1.0,3\n", k_events=2)

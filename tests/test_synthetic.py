@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crcal.synthetic as syn
@@ -66,6 +68,125 @@ def f_and_fprime(lams, shapes, s):
         fp *= f
         fp /= s[:, None, :]
     return f, fp
+
+
+def reference_workspace(c, k):
+    mn = syn.N_HEAD + syn.N_BODY + 1
+    v = np.linspace(0.0, 1.0, syn.N_HEAD + 1)[1:]
+    return {
+        "v2": v**2,
+        "v3": v**3,
+        "w": np.linspace(0.0, 1.0, syn.N_BODY + 1),
+        "s_nodes": np.empty((c, mn)),
+        "fbuf": np.empty((c, k, mn)),
+        "eos": np.empty((c, mn)),
+        "incr": np.empty((c, k, syn.N_HEAD + syn.N_BODY)),
+        "table": np.zeros((c, k, syn.N_HEAD + syn.N_BODY + 1)),
+    }
+
+
+def reference_chunk_values(lams, shapes, read_times, ws):
+    """The former one-level chunk: it builds the whole chunk's table at once."""
+    n_head, n_body = syn.N_HEAD, syn.N_BODY
+    c, k = lams.shape
+    m = read_times.shape[1]
+    t_top = np.maximum(read_times.max(axis=1), 1e-30)
+    h_at_top = syn._cum_hazard(lams, shapes, t_top)
+    s_hi = np.where(h_at_top > syn.H_CUT, syn._hazard_inverse(lams, shapes, syn.H_CUT, t_top), t_top)
+    s1 = np.minimum(0.25 * lams.min(axis=1), s_hi)
+    dv = 1.0 / n_head
+    db = (s_hi - s1) / n_body
+
+    s_nodes = ws["s_nodes"][:c]
+    np.multiply(s1[:, None], ws["v3"][None, :], out=s_nodes[:, :n_head])
+    np.multiply((s_hi - s1)[:, None], ws["w"][None, :], out=s_nodes[:, n_head:])
+    s_nodes[:, n_head:] += s1[:, None]
+    np.maximum(s_nodes, 1e-300, out=s_nodes)
+    f = syn._integrand(lams, shapes, s_nodes, ws["fbuf"][:c], ws["eos"][:c])
+
+    g = f[:, :, :n_head] * (1.5 * dv) * s1[:, None, None] * ws["v2"][None, None, :]
+    incr = ws["incr"][:c]
+    incr[:, :, 0] = g[:, :, 0]
+    np.add(g[:, :, :-1], g[:, :, 1:], out=incr[:, :, 1:n_head])
+    np.add(f[:, :, n_head:-1], f[:, :, n_head + 1:], out=incr[:, :, n_head:])
+    incr[:, :, n_head:] *= (0.5 * db)[:, None, None]
+    table = ws["table"][:c]
+    np.cumsum(incr, axis=2, out=table[:, :, 1:])
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac_head = np.cbrt(np.clip(read_times / s1[:, None], 0.0, 1.0))
+        frac_body = np.clip((read_times - s1[:, None]) / (s_hi - s1)[:, None], 0.0, 1.0)
+    frac_head = np.nan_to_num(frac_head, nan=1.0)
+    frac_body = np.nan_to_num(frac_body, nan=1.0)
+    in_head = read_times <= s1[:, None]
+    pos = np.where(in_head, frac_head * n_head, n_head + frac_body * n_body)
+    i0 = np.clip(pos.astype(np.int64), 0, n_head + n_body - 1)
+    base = np.take_along_axis(table, np.broadcast_to(i0[:, None, :], (c, k, m)), axis=2)
+
+    v_lo = i0 * dv
+    s_lo = np.where(in_head, s1[:, None] * v_lo**3, s1[:, None] + (i0 - n_head) * db[:, None])
+    extras = np.maximum(np.concatenate([s_lo, read_times, s1[:, None], s_hi[:, None]], axis=1), 1e-300)
+    qs = np.empty((c, 2 * m + 2))
+    f_x = syn._integrand(lams, shapes, extras, np.empty((c, k, 2 * m + 2)), np.empty_like(qs), qs)
+    with np.errstate(over="ignore"):
+        fp_x = (shapes[:, :, None] - 1.0 - qs[:, None, :]) * f_x / extras[:, None, :]
+    f_lo, f_t = f_x[:, :, :m], f_x[:, :, m:2 * m]
+    fp_lo = fp_x[:, :, :m]
+    f_s1, fp_s1 = f_x[:, :, 2 * m], fp_x[:, :, 2 * m]
+    fp_shi = fp_x[:, :, 2 * m + 1]
+    s1_3 = s1[:, None, None]
+
+    gp_lo = 6.0 * s1_3 * v_lo[:, None, :] * f_lo + 9.0 * s1_3**2 * v_lo[:, None, :] ** 4 * fp_lo
+    gp_one = 6.0 * s1_3[:, :, 0] * f_s1 + 9.0 * s1_3[:, :, 0] ** 2 * fp_s1
+    corr_head = dv * dv / 12.0 * gp_lo
+    corr_body = (dv * dv / 12.0) * gp_one[:, :, None] + (db * db)[:, None, None] / 12.0 * (fp_lo - fp_s1[:, :, None])
+    corr = np.where(in_head[:, None, :], corr_head, corr_body)
+
+    g_lo = 3.0 * s1_3 * v_lo[:, None, :] ** 2 * f_lo
+    g_t = 3.0 * s1_3 * frac_head[:, None, :] ** 2 * f_t
+    span_head = frac_head - v_lo
+    span_body = (frac_body - (i0 - n_head) / n_body) * (s_hi - s1)[:, None]
+    span = np.clip(np.where(in_head, span_head, span_body), 0.0, None)
+    partial = 0.5 * span[:, None, :] * np.where(in_head[:, None, :], g_lo + g_t, f_lo + f_t)
+
+    vals = base - corr + partial
+    end_val = table[:, :, -1] - (dv * dv / 12.0) * gp_one - (db * db)[:, None] / 12.0 * (fp_shi - fp_s1)
+    truncated = read_times > s_hi[:, None] * (1.0 + 1e-12)
+    if truncated.any():
+        vals = np.where(truncated[:, None, :], end_val[:, :, None], vals)
+    return np.clip(vals, 0.0, 1.0)
+
+
+def reference_oracle_values(latents, read_times):
+    """The slow reference oracle: 256-row chunks, each with its whole table."""
+    lams, shapes = syn.latent_arrays(latents)
+    n, k = lams.shape
+    m = read_times.shape[-1]
+    out = np.empty((n, k, m))
+    ws = reference_workspace(min(n, 256), k)
+    for start in range(0, n, 256):
+        stop = min(start + 256, n)
+        rt = read_times if read_times.ndim == 2 else np.broadcast_to(read_times, (n, m))
+        rt = np.ascontiguousarray(rt[start:stop])
+        out[start:stop] = reference_chunk_values(lams[start:stop], shapes[start:stop], rt, ws)
+    return out
+
+
+@st.composite
+def oracle_reads(draw):
+    """Latent records of n samples and K events, n at the chunk and row-block
+    edges, with a common grid or per-sample (n, m) read times. The times run
+    from zero to far past every sample's truncated domain."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([1, 31, 32, 33, 63, 64, 65, 257]))
+    k, m = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    lams = rng.uniform(0.4, 3.0, (n, k))
+    shapes = rng.uniform(1.0, 20.0, (n, k))
+    latents = [LatentRecord(tuple(l), tuple(s), 1.0, 1, 1.0) for l, s in zip(lams, shapes)]
+    shape = (m,) if draw(st.booleans()) else (n, m)
+    times = np.exp(rng.uniform(np.log(1e-4), np.log(1e3), shape))
+    times.flat[0] = draw(st.sampled_from([0.0, 1e-300, 1e6]))
+    return latents, times
 
 
 @st.composite
@@ -228,6 +349,44 @@ class TestOracleBundle:
         horizon = survival_horizon(sub, eps=1e-6)
         terminal = oracle_values(sub, np.array([horizon]))[:, :, 0].mean(axis=0)
         assert np.abs(freq - terminal).max() < 0.01
+
+
+class TestAgainstReferenceOracle:
+    # (chunk, row block): the defaults, then one-row and seven-row blocks,
+    # and blocks that leave a partial block inside every chunk
+    @pytest.mark.parametrize("chunk, block", [(None, None), (1, 1), (7, 7), (7, 3)])
+    @settings(max_examples=40, deadline=None)
+    @given(oracle_reads())
+    def test_bitwise_equal(self, chunk, block, case):
+        latents, times = case
+        want = reference_oracle_values(latents, times)
+        with pytest.MonkeyPatch.context() as patch:
+            if chunk is not None:
+                patch.setattr(syn, "_CHUNK", chunk)
+                patch.setattr(syn, "_BLOCK", block)
+            got = oracle_values(latents, times)
+        assert np.array_equal(got, want)
+
+
+def _peak_beside_output(latents, times):
+    """The traced memory peak of oracle_values less its (n, K, m) result."""
+    tracemalloc.start()
+    try:
+        out = oracle_values(latents, times)
+        return tracemalloc.get_traced_memory()[1] - out.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+class TestOracleMemory:
+    def test_working_set_is_fixed_in_n(self):
+        _, latents = generate_cohort(WeibullConfig(), 2048, seed=14)
+        grid = np.linspace(0.05, 4.0, 65)
+        small = _peak_beside_output(latents[:256], grid)
+        large = _peak_beside_output(latents, grid)
+        # beside the output only the (n, K) parameter arrays grow with n
+        assert abs(large - small) < 0.25e6
+        assert large < 16e6
 
 
 class TestDistortAndCsv:
