@@ -177,7 +177,7 @@ class CifBundle:
             raise ValidationError("non-finite CIF value")
         if np.any(values < 0.0) or np.any(values > 1.0):
             raise ValidationError("CIF values must lie in [0, 1]")
-        if d > 1 and np.any(np.diff(values, axis=2) < 0):
+        if np.any(values[:, :, 1:] < values[:, :, :-1]):
             raise ValidationError("CIF not nondecreasing along the grid")
         if np.any(values.sum(axis=1) > 1.0 + SUM_TOL):
             raise ValidationError("event probabilities exceed 1")

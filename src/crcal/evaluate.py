@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import StepCurve, censoring_survival
-from .data import CifBundle, Cohort, TimeGrid, _fmt, _table, check_aligned, check_event, step_indices
+from .data import CifBundle, Cohort, TimeGrid, _fmt, _sample_mean, _table, check_aligned, check_event, step_indices
 from .errors import NumericError, ValidationError
 
 @dataclass(frozen=True)
@@ -209,7 +209,7 @@ def integrated_brier(
 
 def mean_incidence(bundle: CifBundle) -> np.ndarray:
     """Across-sample mean CIF per event and grid time, shape (K, d)."""
-    return bundle.values.mean(axis=0)
+    return _sample_mean(bundle.values)
 
 
 def mean_incidence_csv(bundle: CifBundle) -> str:

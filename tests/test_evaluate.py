@@ -292,7 +292,22 @@ class TestIntegratedBrier:
         assert integrated_brier(cohort, oracle, grid, g) < integrated_brier(cohort, distorted, grid, g)
 
 
+@st.composite
+def uniform_bundles(draw):
+    """Bundles of up to 300 samples, K in {1, 2, 3} and up to 8 grid times,
+    with sorted uniform CIF draws divided by K."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, k, d = draw(st.integers(1, 300)), draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    values = np.sort(rng.uniform(0.01, 1.0, (n, k, d)), axis=2) / k
+    return make_bundle(np.arange(1.0, d + 1), values)
+
+
 class TestMeanIncidence:
+    @given(uniform_bundles())
+    def test_is_the_bundle_mean(self, bundle):
+        # the same sample mean as pi-calibration's, to the last bit
+        assert np.array_equal(mean_incidence(bundle), bundle.mean_at(bundle.grid.times))
+
     def test_identical_samples(self):
         vals = np.tile(np.array([[[0.1, 0.3], [0.05, 0.2]]]), (4, 1, 1))
         bundle = make_bundle([1.0, 2.0], vals)

@@ -174,9 +174,10 @@ def reference_oracle_values(latents, read_times):
 
 @st.composite
 def oracle_reads(draw):
-    """Latent records of n samples and K events, n at the chunk and row-block
-    edges, with a common grid or per-sample (n, m) read times. The times run
-    from zero to far past every sample's truncated domain."""
+    """Latent records of n samples and K events, n at the row-block edges and
+    past the reference's 256-row chunk, with a common grid or per-sample
+    (n, m) read times. The times run from zero to far past every sample's
+    truncated domain."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.sampled_from([1, 31, 32, 33, 63, 64, 65, 257]))
     k, m = draw(st.integers(1, 4)), draw(st.integers(1, 12))
@@ -352,27 +353,26 @@ class TestOracleBundle:
 
 
 class TestAgainstReferenceOracle:
-    # (chunk, row block): the defaults, then one-row and seven-row blocks,
-    # and blocks that leave a partial block inside every chunk
-    @pytest.mark.parametrize("chunk, block", [(None, None), (1, 1), (7, 7), (7, 3)])
+    # row blocks: the default, then one-row, three-row and seven-row blocks,
+    # which leave a partial last block at most sizes
+    @pytest.mark.parametrize("block", [None, 1, 3, 7])
     @settings(max_examples=40, deadline=None)
     @given(oracle_reads())
-    def test_bitwise_equal(self, chunk, block, case):
+    def test_bitwise_equal(self, block, case):
         latents, times = case
         want = reference_oracle_values(latents, times)
         with pytest.MonkeyPatch.context() as patch:
-            if chunk is not None:
-                patch.setattr(syn, "_CHUNK", chunk)
+            if block is not None:
                 patch.setattr(syn, "_BLOCK", block)
             got = oracle_values(latents, times)
         assert np.array_equal(got, want)
 
 
-def _peak_beside_output(latents, times):
-    """The traced memory peak of oracle_values less its (n, K, m) result."""
+def _peak_beside_output(call):
+    """The traced memory peak of ``call()`` less the array it returns."""
     tracemalloc.start()
     try:
-        out = oracle_values(latents, times)
+        out = call()
         return tracemalloc.get_traced_memory()[1] - out.nbytes
     finally:
         tracemalloc.stop()
@@ -382,11 +382,19 @@ class TestOracleMemory:
     def test_working_set_is_fixed_in_n(self):
         _, latents = generate_cohort(WeibullConfig(), 2048, seed=14)
         grid = np.linspace(0.05, 4.0, 65)
-        small = _peak_beside_output(latents[:256], grid)
-        large = _peak_beside_output(latents, grid)
-        # beside the output only the (n, K) parameter arrays grow with n
+        small = _peak_beside_output(lambda: oracle_values(latents[:256], grid))
+        large = _peak_beside_output(lambda: oracle_values(latents, grid))
+        # beside the output only the (n, K) parameters and the (n,) meshes grow with n
         assert abs(large - small) < 0.25e6
-        assert large < 16e6
+        assert large < 10e6
+
+    def test_bundle_holds_one_output_sized_array(self):
+        # the running maximum and the bundle's checks add no array of the
+        # output's size, which at n = 8192 (12.8 MB) would break the bound
+        cohort, latents = generate_cohort(WeibullConfig(), 8192, seed=15)
+        grid = oracle_grid(cohort, latents, 64)
+        assert grid.d == 65
+        assert _peak_beside_output(lambda: oracle_bundle(latents, grid).values) < 10e6
 
 
 class TestDistortAndCsv:

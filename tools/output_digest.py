@@ -29,7 +29,9 @@ moved, to the last bit. Each line is ``<label> <sha256>``. The set:
   ``simulate --grid-size 10**15`` run; ``edge/quoted_ids``, a cohort and a
   bundle whose ids need quoting, written and read back;
   ``edge/oracle_survival``, the closed-form survival of 5 samples on a
-  5-point grid; and, each with the file the run writes, ``crcal metrics``
+  5-point grid; ``edge/oracle_per_sample``, the oracle's CIFs of 37 samples
+  at per-sample (37, 9) read times from 0 to far past the truncated domain;
+  and, each with the file the run writes, ``crcal metrics``
   on a CRLF cohort and bundle (``edge/crlf_metrics``), on a cohort with
   bare CR line ends (``edge/bare_cr_cohort``) and on a bundle whose short
   row and long row add up to two rows' fields
@@ -273,6 +275,15 @@ def edge_outputs(work: Path) -> list[tuple[str, str]]:
     _, latents = synthetic.generate_cohort(synthetic.WeibullConfig(), 5, 6)
     surv = synthetic.oracle_survival(latents, np.linspace(0.2, 1.0, 5))
     out.append(("edge/oracle_survival", _sha(f"{surv.shape} {surv.tobytes().hex()}")))
+
+    # 37 samples leave a partial row block; each reads at 0, in its head
+    # piece (which ends at a quarter of its smallest scale), in its body, and
+    # far past its truncated domain
+    _, latents = synthetic.generate_cohort(synthetic.WeibullConfig(), 37, 7)
+    lams, _ = synthetic.latent_arrays(latents)
+    steps = np.array([0.0, 0.01, 0.1, 0.24, 0.5, 1.0, 2.0, 10.0, 1e6])
+    vals = synthetic.oracle_values(latents, lams.min(axis=1)[:, None] * steps)
+    out.append(("edge/oracle_per_sample", _sha(f"{vals.shape} {vals.tobytes().hex()}")))
     return out
 
 
