@@ -10,11 +10,11 @@ of the event CIFs there.
 from __future__ import annotations
 
 import csv
-import io
 import math
+import re
 from array import array
 from dataclasses import dataclass
-from itertools import chain, cycle, repeat
+from itertools import chain, cycle, islice, repeat
 from operator import add
 
 import numpy as np
@@ -173,13 +173,15 @@ class CifBundle:
             raise ValidationError("bundle values do not match grid length")
         if len(self.sample_ids) != n:
             raise ValidationError("sample_ids must align with values")
-        if not np.all(np.isfinite(values)):
+        lo, hi = values.min(), values.max()
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValidationError("non-finite CIF value")
-        if np.any(values < 0.0) or np.any(values > 1.0):
+        if lo < 0.0 or hi > 1.0:
             raise ValidationError("CIF values must lie in [0, 1]")
         if np.any(values[:, :, 1:] < values[:, :, :-1]):
             raise ValidationError("CIF not nondecreasing along the grid")
-        if np.any(values.sum(axis=1) > 1.0 + SUM_TOL):
+        # nondecreasing CIFs add up to their most at the last grid time
+        if np.any(values[:, :, -1].sum(axis=1) > 1.0 + SUM_TOL):
             raise ValidationError("event probabilities exceed 1")
         if np.any(values[:, :, -1] <= 0.0):
             raise ValidationError("terminal CIF must be positive for every sample and event")
@@ -251,8 +253,9 @@ def _csv_records(csv_text: str, kind: str, columns: list[str], prefix: bool = Fa
     ``row_no`` being the file line the row starts on. The stripped header
     must equal ``columns`` (start with them when ``prefix``) and every row
     must have as many fields as the header; a malformed file raises
-    ValidationError."""
-    reader = csv.reader(io.StringIO(csv_text))
+    ValidationError. csv is fed the text's lines one at a time, each with
+    its LF, so no copy of the text is made."""
+    reader = csv.reader(map(re.Match.group, re.finditer(r"[^\n]*\n|[^\n]+", csv_text)))
     try:
         header = next(reader, None)
         if header is None:
@@ -332,127 +335,59 @@ def parse_bundle(csv_text: str, k_events: int) -> CifBundle:
 
     Every (sample, event) pair must cover the identical set of times; the
     grid is the sorted set of distinct times. Row order is free; samples
-    keep the order in which they first appear. Text the block parser takes
-    as plain is read by columns; anything else, and every error, goes
-    through the row parser.
+    keep the order in which they first appear. This is the one converter:
+    it takes the field columns of :func:`_field_blocks` a block at a time,
+    turns each distinct id, event and time string into a value once and
+    names a bad value by the first row that holds one. After the last block
+    one tail builds the grid, checks that every cell is filled exactly once
+    and scatters the cifs into the (n, K, d) array.
     """
-    bundle = _plain_bundle(csv_text, k_events)
-    return _row_bundle(csv_text, k_events) if bundle is None else bundle
-
-
-_BLOCK = 1 << 16  # characters per slice of a plain bundle; each slice ends at a line end
-
-
-def _plain_bundle(csv_text: str, k_events: int) -> CifBundle | None:
-    """The bundle of text with no quote, CR or NUL (which some Python versions'
-    csv rejects), parsed slice by slice into columns, or None when anything
-    is irregular: a wrong header or field count, a blank line, a field over
-    csv's size limit, a value the row parser rejects, a repeated or missing
-    cell. Values go through the row parser's built-ins, once per distinct
-    string for ids, events and times, so a bundle found here is the one
-    :func:`_row_bundle` returns."""
-    if any(c in csv_text for c in '"\r\0'):
-        return None
-    start = csv_text.find("\n") + 1
-    stop = len(csv_text) - csv_text.endswith("\n")
-    if not start or stop <= start or [h.strip() for h in csv_text[: start - 1].split(",")] != _BUNDLE_COLUMNS:
-        return None
-    rows = csv_text.count("\n", start, stop) + 1
     index: dict[str, int] = {}  # stripped id -> sample
-    sample_of: dict[str, int] = {}  # id field -> sample
-    event_of: dict[str, int] = {}  # event field -> event - 1
     time_of: dict[str, int] = {}  # time field -> position in times
     times: list[float] = []
-    cells, time_cols, cifs = np.empty(rows, dtype=np.intp), np.empty(rows, dtype=np.intp), np.empty(rows)
-    limit = csv.field_size_limit()
-    row = 0
-    try:
-        while row < rows:
-            end = csv_text.find("\n", start + _BLOCK, stop)
-            block = csv_text[start : stop if end < 0 else end]
-            start += len(block) + 1
-            if set(map(str.count, block.split("\n"), repeat(","))) != {3}:
-                return None
-            fields = block.replace("\n", ",").split(",")
-            if len(block) > limit and max(map(len, fields)) > limit:
-                return None
-            ids, evs, ts, cs = (fields[j::4] for j in range(4))
-            for sid in dict.fromkeys(ids):
-                if sid not in sample_of:
-                    sample_of[sid] = index.setdefault(sid.strip(), len(index))
-            for ev in set(evs) - event_of.keys():
-                label = int(ev)
-                if not 1 <= label <= k_events:
-                    return None
-                event_of[ev] = label - 1
-            for t in set(ts) - time_of.keys():
-                value = float(t)
-                if not (math.isfinite(value) and value > 0):
-                    return None
-                time_of[t] = len(times)
-                times.append(value)
-            block_rows = slice(row, row + len(ids))
-            cells[block_rows] = np.fromiter(map(sample_of.__getitem__, ids), np.intp, len(ids))
-            cells[block_rows] *= k_events
-            cells[block_rows] += np.fromiter(map(event_of.__getitem__, evs), np.intp, len(ids))
-            time_cols[block_rows] = np.fromiter(map(time_of.__getitem__, ts), np.intp, len(ids))
-            cifs[block_rows] = np.fromiter(map(float, cs), float, len(ids))
-            row += len(ids)
-    except ValueError:
-        return None
-    if not np.all((cifs >= 0.0) & (cifs <= 1.0)):
-        return None
-    ids = tuple(index)
-    grid_times, col = np.unique(np.array(times), return_inverse=True)
-    n, d = len(ids), grid_times.size
-    if rows != n * k_events * d:
-        return None
-    flat = cells * d + col[time_cols]
-    filled = np.zeros(rows, dtype=bool)
-    filled[flat] = True
-    if not filled.all():
-        return None
-    values = np.empty(rows)
-    values[flat] = cifs
-    return CifBundle(TimeGrid(grid_times), values.reshape(n, k_events, d), ids)
-
-
-def _row_bundle(csv_text: str, k_events: int) -> CifBundle:
-    """The row parser: one pass over the rows into flat arrays, then one
-    scatter. It words every bundle error, with the row it was found on."""
-    index: dict[str, int] = {}
-    row_nos, cells, times, cifs = array("q"), array("q"), array("d"), array("d")
-    for row_no, row in _csv_records(csv_text, "bundle", _BUNDLE_COLUMNS):
+    row_blocks = []  # each block's row numbers, for the duplicate message
+    cells, time_cols, cifs = array("q"), array("q"), array("d")
+    for row_nos, ids, evs, ts, cs in _field_blocks(csv_text):
+        fresh = len(times)
         try:
-            ev, t, cif = int(row[1]), float(row[2]), float(row[3])
+            event_of = {ev: int(ev) - 1 for ev in set(evs)}
+            for t in set(ts).difference(time_of):
+                time_of[t] = len(times)
+                times.append(float(t))
+            block_cifs = np.fromiter(map(float, cs), float, len(cs))
+            good = (all(0 <= ev < k_events for ev in event_of.values())
+                    and all(0 < t < math.inf for t in times[fresh:])
+                    and 0.0 <= block_cifs.min() <= block_cifs.max() <= 1.0)
         except ValueError:
-            raise ValidationError(f"row {row_no}: non-numeric field") from None
-        if not 1 <= ev <= k_events:
-            raise ValidationError(f"row {row_no}: event label out of range 1..{k_events}")
-        if not math.isfinite(t) or t <= 0:
-            raise ValidationError(f"row {row_no}: time must be positive and finite")
-        if not 0.0 <= cif <= 1.0:
-            raise ValidationError(f"row {row_no}: cif outside [0, 1]")
-        row_nos.append(row_no)
-        cells.append(index.setdefault(row[0].strip(), len(index)) * k_events + ev - 1)
-        times.append(t)
-        cifs.append(cif)
+            good = False
+        if not good:
+            for row_no, *fields in zip(row_nos, evs, ts, cs):
+                if fault := _row_fault(*fields, k_events):
+                    raise ValidationError(f"row {row_no}: {fault}")
+        sample_of = {sid: index.setdefault(sid.strip(), len(index)) * k_events for sid in dict.fromkeys(ids)}
+        block_cells = np.fromiter(map(sample_of.__getitem__, ids), np.int64, len(ids))
+        block_cells += np.fromiter(map(event_of.__getitem__, evs), np.int64, len(ids))
+        cells.frombytes(block_cells.tobytes())
+        time_cols.frombytes(np.fromiter(map(time_of.__getitem__, ts), np.int64, len(ids)).tobytes())
+        cifs.frombytes(block_cifs.tobytes())
+        row_blocks.append(row_nos)
     if not index:
         raise ValidationError("bundle has no rows")
     ids = tuple(index)
-    grid_times, col = np.unique(np.frombuffer(times), return_inverse=True)
+    grid_times, col = np.unique(np.array(times), return_inverse=True)
     n, d = len(ids), grid_times.size
     size = n * k_events * d
-    flat = np.frombuffer(cells, dtype=np.int64) * d + col
-    order = np.argsort(flat, kind="stable")
-    repeats = order[1:][np.diff(flat[order]) == 0]
-    if repeats.size:
-        first = int(repeats.min())
-        sample, ev = divmod(cells[first], k_events)
-        raise ValidationError(f"row {row_nos[first]}: duplicate time for sample {ids[sample]!r} event {ev + 1}")
-    if flat.size != size:
-        filled = np.zeros(size, dtype=bool)
-        filled[flat] = True
+    flat = np.frombuffer(cells, dtype=np.int64) * d + col[np.frombuffer(time_cols, dtype=np.int64)]
+    filled = np.zeros(size, dtype=bool)
+    filled[flat] = True
+    if flat.size != size or not filled.all():
+        order = np.argsort(flat, kind="stable")
+        repeats = order[1:][np.diff(flat[order]) == 0]
+        if repeats.size:
+            first = int(repeats.min())
+            sample, ev = divmod(cells[first], k_events)
+            row_no = next(islice(chain.from_iterable(row_blocks), first, None))
+            raise ValidationError(f"row {row_no}: duplicate time for sample {ids[sample]!r} event {ev + 1}")
         sample, ev = divmod(int(np.argmin(filled)) // d, k_events)
         raise ValidationError(f"ragged grid: sample {ids[sample]!r} event {ev + 1} does not cover all times")
     values = np.empty(size)
@@ -460,7 +395,70 @@ def _row_bundle(csv_text: str, k_events: int) -> CifBundle:
     return CifBundle(TimeGrid(grid_times), values.reshape(n, k_events, d), ids)
 
 
-_WRITE_ROWS = 4096  # rows of a bundle formatted per slice
+def _row_fault(ev: str, t: str, cif: str, k_events: int) -> str | None:
+    """What is wrong with a row's event, time and cif fields, checked in that
+    order once all three read as numbers, or None."""
+    try:
+        ev, t, cif = int(ev), float(t), float(cif)
+    except ValueError:
+        return "non-numeric field"
+    if not 1 <= ev <= k_events:
+        return f"event label out of range 1..{k_events}"
+    if not math.isfinite(t) or t <= 0:
+        return "time must be positive and finite"
+    if not 0.0 <= cif <= 1.0:
+        return "cif outside [0, 1]"
+    return None
+
+
+_BLOCK = 1 << 16  # characters per slice of plain bundle text; each slice ends at a line end
+_ROWS = 4096  # rows per block of a bundle read by csv, and per slice of one written
+
+
+def _field_blocks(csv_text: str):
+    """``(row_nos, ids, events, times, cifs)`` for each block of a bundle
+    file's rows: the field strings by column, and the file lines the rows
+    start on. Plain text is split with str methods in ~``_BLOCK``-character
+    slices, whose row numbers are a range. Plain means no quote, CR or NUL
+    (which some Python versions' csv rejects), the bundle header, three
+    commas on every line and no field over csv's size limit. From the first
+    slice that is not plain on, the rows come from :func:`_csv_records`,
+    ``_ROWS`` at a time, past the rows already yielded. A block ends early
+    where the reader raises, and the error follows the block, so every
+    fault is met in file order."""
+    start = csv_text.find("\n") + 1
+    stop = len(csv_text) - csv_text.endswith("\n")
+    done = 0  # rows yielded
+    if (start and not any(c in csv_text for c in '"\r\0')
+            and [h.strip() for h in csv_text[: start - 1].split(",")] == _BUNDLE_COLUMNS):
+        limit = csv.field_size_limit()
+        while start < stop:
+            end = csv_text.find("\n", start + _BLOCK, stop)
+            block = csv_text[start : stop if end < 0 else end]
+            if set(map(str.count, block.split("\n"), repeat(","))) != {3}:
+                break
+            fields = block.replace("\n", ",").split(",")
+            if len(block) > limit and max(map(len, fields)) > limit:
+                break
+            yield range(done + 2, done + 2 + len(fields) // 4), *(fields[j::4] for j in range(4))
+            done += len(fields) // 4
+            start += len(block) + 1
+        else:
+            return
+    records = islice(_csv_records(csv_text, "bundle", _BUNDLE_COLUMNS), done, None)
+    while True:
+        row_nos, rows = array("q"), []
+        try:
+            for row_no, row in islice(records, _ROWS):
+                row_nos.append(row_no)
+                rows.append(row)
+        except ValidationError:
+            if rows:  # the rows read before the error go first
+                yield row_nos, *zip(*rows)
+            raise
+        if not rows:
+            return
+        yield row_nos, *zip(*rows)
 
 
 def bundle_to_csv(bundle: CifBundle) -> str:
@@ -471,7 +469,7 @@ def bundle_to_csv(bundle: CifBundle) -> str:
     times = [f",{t}," for t in map(_fmt, bundle.grid.times.tolist())]
     heads = [f"{sid},{ev}" for sid in map(_csv_id, bundle.sample_ids) for ev in range(1, k + 1)]
     values = bundle.values.reshape(n * k, d)
-    step = max(1, _WRITE_ROWS // d)
+    step = max(1, _ROWS // d)
     parts = [",".join(_BUNDLE_COLUMNS)]
     for i in range(0, n * k, step):
         prefixes = map(add, chain.from_iterable(map(repeat, heads[i : i + step], repeat(d))), cycle(times))

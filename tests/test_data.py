@@ -19,7 +19,7 @@ from crcal.data import (
     parse_cohort,
     quantile_grid,
     split_cohort,
-    _plain_bundle,
+    _field_blocks,
 )
 from crcal import data
 from crcal.errors import ValidationError
@@ -156,17 +156,33 @@ FAULTS = {
 }
 
 
+ROW_FAULTS = ["short", "long", *FAULTS]
+
+
+def _faulted(draw, row, fault):
+    """A row cut short, made long, or with one field out of range."""
+    if fault == "short":
+        return row.rsplit(",", 1)[0]
+    if fault == "long":
+        return row + ",0"
+    fields = row.split(",")
+    fields[["event", "time", "cif"].index(fault) + 1] = draw(st.sampled_from(FAULTS[fault]))
+    return ",".join(fields)
+
+
 @st.composite
 def faulty_bundle_texts(draw):
     """(K, text) of a valid bundle's CSV with its rows shuffled and one fault:
-    one or two rows dropped or repeated, a row cut short or made long, or one
-    field out of range. Two drops or repeats tell which fault is named first."""
+    one or two rows dropped or repeated, or one row fault (see ``_faulted``),
+    and at times a second row fault on a later row. Two drops or repeats, or
+    a second fault, tell which fault is named first. A repeat gets no second
+    fault: the reference names it on its row, where the parser names every
+    row fault before any repeat."""
     bundle = draw(bundles())
     header, *rows = bundle_to_csv(bundle).splitlines()
     rows = draw(st.permutations(rows))
     i = draw(st.integers(0, len(rows) - 1))
-    fields = rows[i].split(",")
-    fault = draw(st.sampled_from(["drop", "repeat", "short", "long", *FAULTS]))
+    fault = draw(st.sampled_from(["drop", "repeat", *ROW_FAULTS]))
     if fault in ("drop", "repeat"):
         for _ in range(draw(st.integers(1, 2))):
             i = draw(st.integers(0, len(rows) - 1)) if rows else 0
@@ -174,13 +190,12 @@ def faulty_bundle_texts(draw):
                 del rows[i]
             elif fault == "repeat":
                 rows.insert(draw(st.integers(0, len(rows))), rows[i])
-    elif fault == "short":
-        rows[i] = ",".join(fields[:-1])
-    elif fault == "long":
-        rows[i] += ",0"
     else:
-        fields[["event", "time", "cif"].index(fault) + 1] = draw(st.sampled_from(FAULTS[fault]))
-        rows[i] = ",".join(fields)
+        rows[i] = _faulted(draw, rows[i], fault)
+    second = draw(st.sampled_from([None, *ROW_FAULTS]))
+    if second and fault != "repeat" and i + 1 < len(rows):
+        j = draw(st.integers(i + 1, len(rows) - 1))
+        rows[j] = _faulted(draw, rows[j], second)
     return bundle.k_events, "\n".join([header, *rows]) + "\n"
 
 
@@ -260,6 +275,11 @@ def _peak_bytes(fn, *args):
         tracemalloc.stop()
 
 
+def _block_kinds(text):
+    """The type of each block's row numbers: range for plain slices."""
+    return {type(row_nos) for row_nos, *_ in _field_blocks(text)}
+
+
 class TestPlainPath:
     @given(bundles())
     def test_takes_the_writers_output(self, bundle):
@@ -268,26 +288,31 @@ class TestPlainPath:
         text = bundle_to_csv(bundle)
         want = parsed(reference_parse_bundle, text, bundle.k_events)
         for plain_text in (text, text[:-1]):
-            got = _plain_bundle(plain_text, bundle.k_events)
-            assert got is not None
-            assert (got.sample_ids, bits(got.grid.times), bits(got.values)) == want
+            assert _block_kinds(plain_text) == {range}
+            assert parsed(parse_bundle, plain_text, bundle.k_events) == want
 
     @given(bundles(CSV_IDS))
     def test_crlf_line_ends_take_the_row_path(self, bundle):
         text = bundle_to_csv(bundle).replace("\n", "\r\n")
-        assert _plain_bundle(text, bundle.k_events) is None
+        assert range not in _block_kinds(text)
         got = parsed(parse_bundle, text, bundle.k_events)
         assert not isinstance(got, str)
         assert got == parsed(reference_parse_bundle, text, bundle.k_events)
 
     @pytest.mark.parametrize("block", [1, 10, 100])
     @settings(max_examples=100)
-    @given(faulty_bundle_texts(), st.sampled_from(["", "\n", "\n\n", "drop"]))
+    @given(faulty_bundle_texts(), st.sampled_from(["", "\n", "\n\n", "drop", "mid"]))
     def test_slice_size_and_text_end(self, block, case, end):
         # small slices make a slice end at the last line end; a blank last
-        # line or none at all must still be read as the row parser reads it
+        # line or none at all must still be read as the row parser reads it,
+        # and a blank line in mid-text hands over to csv after slices that
+        # were already converted
         k, text = case
-        text = text[:-1] if end == "drop" else text + end
+        if end == "mid":
+            lines = text.split("\n")
+            text = "\n".join([*lines[: len(lines) // 2 + 1], "", *lines[len(lines) // 2 + 1 :]])
+        else:
+            text = text[:-1] if end == "drop" else text + end
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(data, "_BLOCK", block)
             assert parsed(parse_bundle, text, k) == parsed(reference_parse_bundle, text, k)
@@ -322,6 +347,15 @@ class TestPlainPath:
         # a writer holds its parts and their join, so it cannot go below 2x
         assert _peak_bytes(parse_bundle, text, 3) < 2 * len(text)
         assert _peak_bytes(bundle_to_csv, bundle) < 3 * len(text)
+
+    def test_crlf_memory_peak(self):
+        # csv reads the lines of the text one by one, with no copy of it
+        rng = np.random.default_rng(1)
+        values = np.sort(rng.uniform(0.01, 0.33, (1000, 3, 20)), axis=2)
+        grid = TimeGrid(np.cumsum(rng.uniform(0.01, 0.2, 20)))
+        bundle = CifBundle(grid, values, tuple(str(i) for i in range(1000)))
+        text = bundle_to_csv(bundle).replace("\n", "\r\n")
+        assert _peak_bytes(parse_bundle, text, 3) < 2 * len(text)
 
 
 class TestParseCohort:
@@ -440,6 +474,30 @@ class TestParseBundle:
         order = [again.sample_ids.index(s) for s in bundle.sample_ids]
         assert np.array_equal(again.values[order], bundle.values)
         assert np.array_equal(again.grid.times, bundle.grid.times)
+
+
+class TestBundleChecks:
+    @pytest.mark.parametrize("bad, message", [
+        ([np.nan], "non-finite CIF value"),
+        ([np.inf], "non-finite CIF value"),
+        ([-np.inf], "non-finite CIF value"),
+        ([-0.1], r"CIF values must lie in \[0, 1\]"),
+        ([1.1], r"CIF values must lie in \[0, 1\]"),
+        ([np.nan, -0.1], "non-finite CIF value"),
+    ])
+    def test_value_messages(self, bad, message):
+        values = np.full((3, 2, 4), 0.2)
+        values.flat[[5, 17][: len(bad)]] = bad
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            CifBundle(TimeGrid(np.arange(1.0, 5.0)), values, ("a", "b", "c"))
+
+    def test_memory_peak(self):
+        # the checks make no temporary near the size of the values
+        rng = np.random.default_rng(2)
+        values = np.sort(rng.uniform(0.01, 0.33, (8192, 3, 65)), axis=2)
+        grid = TimeGrid(np.cumsum(rng.uniform(0.01, 0.2, 65)))
+        ids = tuple(map(str, range(8192)))
+        assert _peak_bytes(CifBundle, grid, values, ids) < 0.2 * values.nbytes
 
 
 class TestBundleEvaluation:

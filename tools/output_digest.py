@@ -36,7 +36,10 @@ moved, to the last bit. Each line is ``<label> <sha256>``. The set:
   bare CR line ends (``edge/bare_cr_cohort``) and on a bundle whose short
   row and long row add up to two rows' fields
   (``edge/short_then_long_bundle``), and ``crcal aj --replicate-for`` on
-  a cohort with a CR inside a quoted id (``edge/quoted_cr_replication``).
+  a cohort with a CR inside a quoted id (``edge/quoted_cr_replication``);
+  ``edge/late_irregular_bundle``, a 150-sample written bundle with one
+  blank line after ~100 KB, parsed, and the error of the same text with a
+  non-numeric cif on row 4 and a short row after the blank line.
 
 A case that raises where a run or call should return is digested as
 ``raised <ExceptionType>``, so one tree's failure shows in the diff without
@@ -208,6 +211,7 @@ def edge_outputs(work: Path) -> list[tuple[str, str]]:
     import numpy as np
 
     from crcal import data, synthetic
+    from crcal.errors import ValidationError
 
     cohort = _write_csv(work / "edge_cohort.csv", COHORT)
     bundle = _write_csv(work / "edge_bundle.csv", BUNDLE)
@@ -284,6 +288,31 @@ def edge_outputs(work: Path) -> list[tuple[str, str]]:
     steps = np.array([0.0, 0.01, 0.1, 0.24, 0.5, 1.0, 2.0, 10.0, 1e6])
     vals = synthetic.oracle_values(latents, lams.min(axis=1)[:, None] * steps)
     out.append(("edge/oracle_per_sample", _sha(f"{vals.shape} {vals.tobytes().hex()}")))
+
+    # a blank line far into a plain bundle: the rows before it are read as
+    # plain text, the rest by csv; the faulty copy has a bad value before the
+    # blank line and a short row after it, and the bad value must be named
+    def parsed(lines: list[str]) -> bytes:
+        try:
+            bundle = data.parse_bundle("\n".join(lines), 3)
+        except ValidationError as exc:
+            return str(exc).encode()
+        except Exception as exc:
+            return f"raised {type(exc).__name__}".encode()
+        return repr(bundle.sample_ids).encode() + bundle.grid.times.tobytes() + bundle.values.tobytes()
+
+    rng = np.random.default_rng(8)
+    values = np.sort(rng.uniform(0.01, 0.33, (150, 3, 65)), axis=2)
+    grid = data.TimeGrid(np.cumsum(rng.uniform(0.01, 0.2, 65)))
+    text = data.bundle_to_csv(data.CifBundle(grid, values, tuple(f"s{i}" for i in range(150))))
+    cut = text.index("\n", 100_000) + 1
+    lines = (text[:cut] + "\n" + text[cut:]).split("\n")
+    late = parsed(lines)
+    blank = lines.index("")
+    lines[3] = lines[3].rsplit(",", 1)[0] + ",low"
+    lines[blank + 1] = lines[blank + 1].rsplit(",", 1)[0]
+    late += b"\n" + parsed(lines)
+    out.append(("edge/late_irregular_bundle", _sha(late)))
     return out
 
 
