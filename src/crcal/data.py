@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import re
 from array import array
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, cycle, islice, repeat
 from operator import add
@@ -138,12 +140,48 @@ def step_values(grid_times: np.ndarray, values: np.ndarray, t, before: float = 0
     return np.where(idx >= 0, values[..., np.maximum(idx, 0)], before)
 
 
-def _sample_mean(x: np.ndarray) -> np.ndarray:
+def _sample_mean(x: np.ndarray, buf: np.ndarray | None = None) -> np.ndarray:
     """Sample mean of an (n, K, d) array in numpy's order for one time's (n, K)
-    slice, whatever the layout of x: pairwise for K = 1, row by row otherwise."""
+    slice, whatever the layout of x: pairwise for K = 1, row by row otherwise.
+    The order does not depend on d, so a slice of times gets the same bits.
+    ``buf``, x.size floats, takes the contiguous copy in place of a new array."""
+    axis = 0
     if x.shape[1] == 1:
-        return np.ascontiguousarray(x.transpose(1, 2, 0)).mean(axis=2)
-    return np.ascontiguousarray(x).mean(axis=0)
+        x, axis = x.transpose(1, 2, 0), 2
+    if buf is None:
+        return np.ascontiguousarray(x).mean(axis=axis)
+    copy = buf.reshape(x.shape)
+    copy[...] = x
+    return copy.mean(axis=axis)
+
+
+# threads a kernel runs on at most. Two are measured: on a 2-core Xeon they
+# make `protocol` ops 18% faster. More are not: np.cumsum, a tenth of the
+# oracle's table build, holds the interpreter lock, as do the oracle's reads
+# and many of the TS fit's short numpy calls, so a third thread may add
+# little. The cap also keeps a CPU quota, which the affinity mask does not
+# show, from meeting one thread per host CPU. Raise it with a sweep on more
+# cores.
+_MAX_WORKERS = 2
+
+
+def _workers() -> int:
+    """Threads a kernel splits into: the CPUs this process may run on (its
+    affinity mask, which ``taskset`` sets), at most _MAX_WORKERS."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cpus, _MAX_WORKERS)
+
+
+def _run_shares(fn, shares: list) -> list:
+    """``[fn(share) for share in shares]``, share 0 in the calling thread and
+    each other share on a pool thread of its own. Each share must write only
+    what it alone owns; the gain comes from numpy kernels, which release the
+    interpreter lock."""
+    if len(shares) == 1:
+        return [fn(shares[0])]
+    with ThreadPoolExecutor(len(shares) - 1) as pool:
+        rest = [pool.submit(fn, share) for share in shares[1:]]
+        return [fn(shares[0]), *(future.result() for future in rest)]
 
 
 @dataclass(frozen=True)
@@ -248,24 +286,33 @@ def _table(header, rows) -> str:
     return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
 
 
-def _csv_records(csv_text: str, kind: str, columns: list[str], prefix: bool = False):
+_LINES = re.compile(r"[^\n]*\n|[^\n]+")
+
+
+def _csv_records(csv_text: str, kind: str, columns: list[str], prefix: bool = False, pos: int = 0):
     """``(row_no, row)`` for each non-blank row of a cohort or bundle file,
     ``row_no`` being the file line the row starts on. The stripped header
     must equal ``columns`` (start with them when ``prefix``) and every row
     must have as many fields as the header; a malformed file raises
     ValidationError. csv is fed the text's lines one at a time, each with
-    its LF, so no copy of the text is made."""
-    reader = csv.reader(map(re.Match.group, re.finditer(r"[^\n]*\n|[^\n]+", csv_text)))
+    its LF, so no copy of the text is made. A ``pos`` past 0 is the start of
+    a line after a header already found to be ``columns``: csv is fed the
+    text from there on, and the lines before it are counted, not read."""
+    reader = csv.reader(map(re.Match.group, _LINES.finditer(csv_text, pos)))
+    before = csv_text.count("\n", 0, pos)  # file lines ahead of the reader's first
     try:
-        header = next(reader, None)
-        if header is None:
-            raise ValidationError(f"empty {kind} file")
-        header = [h.strip() for h in header]
-        if (header[: len(columns)] if prefix else header) != columns:
-            raise ValidationError(f"{kind} header must {'start with' if prefix else 'be'} {','.join(columns)}")
-        end = reader.line_num
+        if pos:
+            header = columns
+        else:
+            header = next(reader, None)
+            if header is None:
+                raise ValidationError(f"empty {kind} file")
+            header = [h.strip() for h in header]
+            if (header[: len(columns)] if prefix else header) != columns:
+                raise ValidationError(f"{kind} header must {'start with' if prefix else 'be'} {','.join(columns)}")
+        end = before + reader.line_num
         for row in reader:
-            row_no, end = end + 1, reader.line_num
+            row_no, end = end + 1, before + reader.line_num
             if not row:
                 continue
             if len(row) != len(header):
@@ -277,7 +324,7 @@ def _csv_records(csv_text: str, kind: str, columns: list[str], prefix: bool = Fa
         # csv's hint for a CR that no LF follows names Python's open modes
         bare_cr = "new-line character seen in unquoted field" in str(exc)
         detail = "bare CR line end; end lines with LF or CRLF" if bare_cr else exc
-        raise ValidationError(f"line {reader.line_num}: malformed CSV ({detail})") from None
+        raise ValidationError(f"line {before + reader.line_num}: malformed CSV ({detail})") from None
 
 
 def parse_cohort(csv_text: str, k_events: int) -> Cohort:
@@ -423,14 +470,16 @@ def _field_blocks(csv_text: str):
     (which some Python versions' csv rejects), the bundle header, three
     commas on every line and no field over csv's size limit. From the first
     slice that is not plain on, the rows come from :func:`_csv_records`,
-    ``_ROWS`` at a time, past the rows already yielded. A block ends early
-    where the reader raises, and the error follows the block, so every
-    fault is met in file order."""
+    ``_ROWS`` at a time, which starts at that slice: with no quote in the
+    text, no field spans its first line end. A block ends early where the
+    reader raises, and the error follows the block, so every fault is met
+    in file order."""
     start = csv_text.find("\n") + 1
     stop = len(csv_text) - csv_text.endswith("\n")
     done = 0  # rows yielded
-    if (start and not any(c in csv_text for c in '"\r\0')
-            and [h.strip() for h in csv_text[: start - 1].split(",")] == _BUNDLE_COLUMNS):
+    plain = (start and not any(c in csv_text for c in '"\r\0')
+             and [h.strip() for h in csv_text[: start - 1].split(",")] == _BUNDLE_COLUMNS)
+    if plain:
         limit = csv.field_size_limit()
         while start < stop:
             end = csv_text.find("\n", start + _BLOCK, stop)
@@ -445,7 +494,7 @@ def _field_blocks(csv_text: str):
             start += len(block) + 1
         else:
             return
-    records = islice(_csv_records(csv_text, "bundle", _BUNDLE_COLUMNS), done, None)
+    records = _csv_records(csv_text, "bundle", _BUNDLE_COLUMNS, pos=start if plain else 0)
     while True:
         row_nos, rows = array("q"), []
         try:

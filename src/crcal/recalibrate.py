@@ -7,8 +7,11 @@ recalibrated mean match the population curve exactly when no feasibility
 repair triggers. Temperature scaling instead fits one exponent beta per
 grid time, applied to the full probability vector (survival plus events,
 so each recalibrated vector sums to one), that minimizes the summed
-marginal gaps; one batched search fits all grid times together in a few
-(K+1) x n x d float64 arrays.
+marginal gaps; one batched search fits a slice of grid times together in
+a few (K+1) x n x d float64 arrays. A large fit splits the grid times into
+one contiguous slice per worker (see ``data._workers``) and fits the
+slices in parallel; each time's beta depends on its own column only, so
+the bits do not depend on the split.
 
 A fitted map is immutable and can be applied to any number of bundles.
 Each application projects its values back onto the feasible set (values
@@ -22,11 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .curves import aalen_johansen
-from .data import CifBundle, Cohort, TimeGrid, _sample_mean, check_aligned, check_event, step_values
+from .data import CifBundle, Cohort, TimeGrid, _run_shares, _sample_mean, _workers, check_aligned, check_event, step_values
 from .errors import ValidationError
 
 AJ_OFFSET = "aj_offset"
@@ -35,6 +39,11 @@ TEMPERATURE = "temperature"
 _LOGIT_EPS = 1e-12
 _BETA_GRID = np.logspace(-3.0, 3.0, 61)
 _IDENTITY_SLACK = 1e-10
+# elements of the (K+1, n, d) vectors that each share of a split TS fit must
+# hold: below about this many, thread start-up and the interpreter lock cost
+# more than a second core saves (2-core Xeon, d = 65, K = 3, split in two:
+# n = 200, 26k elements a share, 6% slower; n = 250, 33k, 12% faster)
+_SHARE_SIZE = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -167,14 +176,15 @@ def _normalized_vectors(bundle: CifBundle, taus: np.ndarray) -> np.ndarray:
     return p / totals
 
 
-def _power_scale(log_p: np.ndarray, top: np.ndarray, beta) -> np.ndarray:
+def _power_scale(log_p: np.ndarray, top: np.ndarray, beta, z=None, totals=None) -> np.ndarray:
     """Event shares, shape (K, n, m), of the event-major log vectors log_p
     (K+1, n, m), survival first, raised to beta per time and renormalized.
-    ``top`` is log_p.max(axis=0): fl(beta x) is monotone in x for beta > 0."""
-    z = beta * log_p
-    z -= beta * top
+    ``top`` is log_p.max(axis=0): fl(beta x) is monotone in x for beta > 0.
+    ``z`` (K+1, n, m) and ``totals`` (n, m) are buffers for the work, or None."""
+    z = np.multiply(beta, log_p, out=z)
+    z -= np.multiply(beta, top, out=totals)
     np.exp(z, out=z)
-    z[1:] /= z.sum(axis=0)
+    z[1:] /= z.sum(axis=0, out=totals)
     return z[1:]
 
 
@@ -185,19 +195,48 @@ def fit_temperature(cal_cohort: Cohort, cal_bundle: CifBundle, grid: TimeGrid) -
     power and renormalizes; beta is found by a log-spaced grid scan over
     [1e-3, 1e3] refined by golden section to a relative tolerance of 1e-6.
     A beta of exactly 1 is kept whenever it is within numerical slack of
-    the optimum, so already-calibrated inputs are left untouched. All grid
-    times are fitted together: each gap evaluation scores every time at
-    once in a few (K+1) x n x d float64 arrays beside the normalized vectors.
+    the optimum, so already-calibrated inputs are left untouched. The grid
+    times are split into contiguous slices, one per worker but each with at
+    least _SHARE_SIZE of the (K+1) x n x d vectors, fitted in parallel; a
+    slice's times are fitted together, each gap evaluation scoring all of
+    them at once in buffers made once per slice. Every time's beta is the
+    same, to the bit, however the times are split.
     """
     _check_fit_inputs(cal_cohort, cal_bundle, grid)
     curves = aalen_johansen(cal_cohort)
     targets = curves.cifs_at(grid.times)
     log_p = np.log(_normalized_vectors(cal_bundle, grid.times) + _LOGIT_EPS)
     top = log_p.max(axis=0)
+    w = max(1, min(_workers(), log_p.shape[2], log_p.size // _SHARE_SIZE))
+    betas = np.concatenate(_run_shares(_fit_columns, _shares(log_p, top, targets, w)))
+    return RecalibrationMap(TEMPERATURE, grid, temperatures=betas)
 
-    def gap(beta) -> np.ndarray:
-        means = _sample_mean(_power_scale(log_p, top, beta).transpose(1, 0, 2))
-        return np.abs(means - targets).sum(axis=0)
+
+def _shares(log_p: np.ndarray, top: np.ndarray, targets: np.ndarray, w: int) -> list:
+    """A TS fit's grid times cut into w contiguous slices: each slice's log
+    vectors, their maxima and AJ targets, and the buffers of its gap
+    evaluation, made here so that no pool thread allocates them."""
+    k1, n, d = log_p.shape
+    cuts = [d * i // w for i in range(w + 1)]
+    return [
+        (log_p[:, :, lo:hi], top[:, lo:hi], targets[:, lo:hi],
+         np.empty((k1, n, hi - lo)), np.empty((n, hi - lo)), np.empty((k1 - 1) * n * (hi - lo)))
+        for lo, hi in zip(cuts, cuts[1:])
+    ]
+
+
+def _gap(share, beta) -> np.ndarray:
+    """Summed marginal gap at each of a share's grid times after scaling
+    with beta, a scalar or one value per time."""
+    log_p, top, targets, z, totals, copy = share
+    means = _sample_mean(_power_scale(log_p, top, beta, z, totals).transpose(1, 0, 2), copy)
+    return np.abs(means - targets).sum(axis=0)
+
+
+def _fit_columns(share) -> np.ndarray:
+    """The betas of one share's grid times: a scan over _BETA_GRID, then
+    golden section on each time's bracket."""
+    gap = partial(_gap, share)
 
     def gap_at_log(lb: np.ndarray) -> np.ndarray:
         return gap(np.fromiter(map(math.exp, lb), float, lb.size))
@@ -220,9 +259,9 @@ def fit_temperature(cal_cohort: Cohort, cal_bundle: CifBundle, grid: TimeGrid) -
         f = gap_at_log(probe)
         x1[lo], f1[lo] = probe[lo], f[lo]
         x2[hi], f2[hi] = probe[hi], f[hi]
-    betas = np.fromiter(map(math.exp, 0.5 * (a + b)), float, grid.d)
+    betas = np.fromiter(map(math.exp, 0.5 * (a + b)), float, a.size)
     betas[gap(1.0) <= gap(betas) + _IDENTITY_SLACK] = 1.0
-    return RecalibrationMap(TEMPERATURE, grid, temperatures=betas)
+    return betas
 
 
 def apply_temperature(bundle: CifBundle, rmap: RecalibrationMap) -> RecalibratedBundle:

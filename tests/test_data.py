@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -76,7 +77,10 @@ def _reference_rows(csv_text):
 
 
 def reference_parse_bundle(csv_text, k_events):
-    """The former dict-per-(sample, event) parser, kept as the reference."""
+    """The former dict-per-(sample, event) parser, kept as the reference. A
+    file's faults are named in the program's order: the first row fault (a
+    malformed line, a wrong field count or a bad field), else the first row
+    that repeats a cell, else the first (sample, event) missing a time."""
     reader = _reference_rows(csv_text)
     try:
         header = next(reader)
@@ -85,6 +89,7 @@ def reference_parse_bundle(csv_text, k_events):
     if [h.strip() for h in header] != ["sample_id", "event", "time", "cif"]:
         raise ValidationError("bundle header must be sample_id,event,time,cif")
     entries = {}
+    duplicate = None
     order = []
     seen_samples = set()
     all_times = set()
@@ -111,11 +116,13 @@ def reference_parse_bundle(csv_text, k_events):
             order.append(sid)
         cell = entries.setdefault((sid, ev), {})
         if t in cell:
-            raise ValidationError(f"row {row_no}: duplicate time for sample {sid!r} event {ev}")
+            duplicate = duplicate or f"row {row_no}: duplicate time for sample {sid!r} event {ev}"
         cell[t] = cif
         all_times.add(t)
     if not order:
         raise ValidationError("bundle has no rows")
+    if duplicate:
+        raise ValidationError(duplicate)
     grid_times = np.asarray(sorted(all_times))
     d = grid_times.size
     n = len(order)
@@ -175,9 +182,8 @@ def faulty_bundle_texts(draw):
     """(K, text) of a valid bundle's CSV with its rows shuffled and one fault:
     one or two rows dropped or repeated, or one row fault (see ``_faulted``),
     and at times a second row fault on a later row. Two drops or repeats, or
-    a second fault, tell which fault is named first. A repeat gets no second
-    fault: the reference names it on its row, where the parser names every
-    row fault before any repeat."""
+    a second fault, tell which fault is named first; a row fault after a
+    repeat is named before it."""
     bundle = draw(bundles())
     header, *rows = bundle_to_csv(bundle).splitlines()
     rows = draw(st.permutations(rows))
@@ -193,7 +199,7 @@ def faulty_bundle_texts(draw):
     else:
         rows[i] = _faulted(draw, rows[i], fault)
     second = draw(st.sampled_from([None, *ROW_FAULTS]))
-    if second and fault != "repeat" and i + 1 < len(rows):
+    if second and i + 1 < len(rows):
         j = draw(st.integers(i + 1, len(rows) - 1))
         rows[j] = _faulted(draw, rows[j], second)
     return bundle.k_events, "\n".join([header, *rows]) + "\n"
@@ -280,6 +286,14 @@ def _block_kinds(text):
     return {type(row_nos) for row_nos, *_ in _field_blocks(text)}
 
 
+class TestWorkers:
+    def test_affinity_mask_up_to_the_cap(self, monkeypatch):
+        # raising=False: platforms without sched_getaffinity get one here
+        for cpus, want in ((1, 1), (2, 2), (64, data._MAX_WORKERS)):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+            assert data._workers() == want
+
+
 class TestPlainPath:
     @given(bundles())
     def test_takes_the_writers_output(self, bundle):
@@ -347,6 +361,23 @@ class TestPlainPath:
         # a writer holds its parts and their join, so it cannot go below 2x
         assert _peak_bytes(parse_bundle, text, 3) < 2 * len(text)
         assert _peak_bytes(bundle_to_csv, bundle) < 3 * len(text)
+
+    def test_csv_starts_at_the_first_irregular_slice(self, monkeypatch):
+        # a blank last line hands the last slice to csv, which is fed the
+        # text from that slice on and none of the rows already converted
+        rng = np.random.default_rng(2)
+        values = np.sort(rng.uniform(0.01, 0.33, (100, 3, 20)), axis=2)
+        grid = TimeGrid(np.cumsum(rng.uniform(0.01, 0.2, 20)))
+        text = bundle_to_csv(CifBundle(grid, values, tuple(str(i) for i in range(100)))) + "\n"
+        want = parsed(reference_parse_bundle, text, 3)
+        fed = []
+        reader = csv.reader
+        monkeypatch.setattr(csv, "reader", lambda lines: reader(fed.append(line) or line for line in lines))
+        monkeypatch.setattr(data, "_BLOCK", 1000)
+        assert parsed(parse_bundle, text, 3) == want
+        tail = "".join(fed)
+        assert text.endswith(tail) and text[-len(tail) - 1] == "\n"
+        assert 0 < len(tail) < 2000 < len(text)
 
     def test_crlf_memory_peak(self):
         # csv reads the lines of the text one by one, with no copy of it

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from conftest import make_bundle, make_cohort
 
+import crcal.recalibrate as rc
 from crcal.calibration import MetricParams, pi_cal_alpha
 from crcal.curves import aalen_johansen, marginal_bundle
-from crcal.data import TimeGrid, quantile_grid, split_cohort, step_indices
+from crcal.data import CifBundle, TimeGrid, quantile_grid, split_cohort, step_indices
 from crcal.errors import ValidationError
 from crcal.recalibrate import (
     _BETA_GRID,
@@ -364,6 +365,51 @@ class TestBatchedTemperature:
         assert np.array_equal(out.values, values)
         assert out.values.flags.c_contiguous
         assert out.repairs == repairs
+
+
+class TestSplitFit:
+    # each case holds at least two shares' worth of the (K+1) x n x d vectors
+    # and so is split on two or more CPUs, except d = 1, which cannot split;
+    # d = 3 on three CPUs and d = 2 on two are slices of one time, fewer
+    # times than seven CPUs, and K = 1 takes the pairwise sample mean
+    @pytest.mark.parametrize("k, d, n", [(3, 65, 1000), (3, 3, 8192), (3, 1, 1000), (1, 65, 1000), (1, 2, 16384)])
+    def test_betas_do_not_depend_on_the_worker_count(self, k, d, n):
+        config = WeibullConfig(WeibullConfig().scale_ranges[:k], WeibullConfig().shape_ranges[:k])
+        cohort, _ = generate_cohort(config, n, seed=50 + d)
+        rng = np.random.default_rng(d)
+        values = np.sort(rng.uniform(0.01, 1.0, (n, k, d)), axis=2) / (k + 1)
+        grid = TimeGrid(cohort.times.max() * np.arange(1, d + 1) / d)
+        bundle = CifBundle(grid, values, cohort.ids)
+        fits, shares = [], []
+        run_shares = rc._run_shares
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rc, "_run_shares", lambda fn, parts: shares.append(len(parts)) or run_shares(fn, parts))
+            for workers in (1, 2, 3, 7):
+                patch.setattr(rc, "_workers", lambda: workers)
+                fits.append(fit_temperature(cohort, bundle, grid).temperatures)
+        assert shares[0] == 1 and (d == 1 or shares[1] == 2)
+        assert shares[3] == max(1, min(7, d, (k + 1) * n * d // rc._SHARE_SIZE))
+        assert all(np.array_equal(fit, fits[0]) for fit in fits)
+        assert np.any(fits[0] != 1.0)
+
+    # a gap differs from another in its last bits long before a golden
+    # section comparison flips, so the gap itself is compared: slices of one
+    # time sum their samples as the whole does, for K = 1 (pairwise) and K = 3
+    @pytest.mark.parametrize("k, d", [(1, 7), (3, 7), (1, 2), (3, 1)])
+    def test_gap_does_not_depend_on_the_slices(self, k, d):
+        rng = np.random.default_rng(k * d)
+        p = rng.dirichlet(np.ones(k + 1), (200, d)).transpose(2, 0, 1)
+        log_p = np.log(p + _LOGIT_EPS)
+        targets = rng.uniform(0.0, 1.0 / (k + 1), (k, d))
+        whole = rc._shares(log_p, log_p.max(axis=0), targets, 1)[0]
+        betas = [0.3, 1.0, 7.0, rng.uniform(0.1, 10.0, d)]
+        for w in range(2, d + 1):
+            shares = rc._shares(log_p, log_p.max(axis=0), targets, w)
+            cuts = np.cumsum([0] + [share[2].shape[1] for share in shares])
+            for beta in betas:
+                parts = [rc._gap(share, beta if np.isscalar(beta) else beta[lo:hi])
+                         for share, lo, hi in zip(shares, cuts, cuts[1:])]
+                assert np.array_equal(np.concatenate(parts), rc._gap(whole, beta))
 
 
 class TestFrozenMap:

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -353,17 +354,25 @@ class TestOracleBundle:
 
 
 class TestAgainstReferenceOracle:
-    # row blocks: the default, then one-row, three-row and seven-row blocks,
-    # which leave a partial last block at most sizes
-    @pytest.mark.parametrize("block", [None, 1, 3, 7])
+    # live rows (_BLOCK): the default, then one, three and seven, which leave
+    # a partial last block at most sizes; workers: the default count (ids
+    # without a worker count), then one, two, three and seven, which cut the
+    # live rows into smaller blocks, deal some workers a block fewer than
+    # others and, at small n, outnumber the blocks
+    @pytest.mark.parametrize("block, workers", [
+        pytest.param(block, workers, id=str(block) if workers is None else f"{block}-{workers}")
+        for workers in (None, 1, 2, 3, 7) for block in (None, 1, 3, 7)
+    ])
     @settings(max_examples=40, deadline=None)
     @given(oracle_reads())
-    def test_bitwise_equal(self, block, case):
+    def test_bitwise_equal(self, block, workers, case):
         latents, times = case
         want = reference_oracle_values(latents, times)
         with pytest.MonkeyPatch.context() as patch:
             if block is not None:
                 patch.setattr(syn, "_BLOCK", block)
+            if workers is not None:
+                patch.setattr(syn, "_workers", lambda: workers)
             got = oracle_values(latents, times)
         assert np.array_equal(got, want)
 
@@ -395,6 +404,17 @@ class TestOracleMemory:
         grid = oracle_grid(cohort, latents, 64)
         assert grid.d == 65
         assert _peak_beside_output(lambda: oracle_bundle(latents, grid).values) < 10e6
+
+
+class TestOracleWorkerMemory:
+    # the workers' blocks share _BLOCK rows, so more workers than the cap
+    # lets run, even more than _BLOCK, add no workspace rows
+    @pytest.mark.parametrize("workers", [3, 8, 64])
+    def test_peak_does_not_grow_with_workers(self, workers, monkeypatch):
+        _, latents = generate_cohort(WeibullConfig(), 2048, seed=14)
+        grid = np.linspace(0.05, 4.0, 65)
+        monkeypatch.setattr(syn, "_workers", lambda: workers)
+        assert _peak_beside_output(lambda: oracle_values(latents, grid)) < 10e6
 
 
 class TestDistortAndCsv:

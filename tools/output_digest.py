@@ -39,7 +39,11 @@ moved, to the last bit. Each line is ``<label> <sha256>``. The set:
   a cohort with a CR inside a quoted id (``edge/quoted_cr_replication``);
   ``edge/late_irregular_bundle``, a 150-sample written bundle with one
   blank line after ~100 KB, parsed, and the error of the same text with a
-  non-numeric cif on row 4 and a short row after the blank line.
+  non-numeric cif on row 4 and a short row after the blank line;
+  ``edge/ts_split``, the ``fit_temperature`` betas and the bundle they
+  recalibrate, with its repair count, for the square-distorted oracle
+  bundle of 1200 samples on a 65-time ``oracle_grid``: a fit large enough
+  to be split by grid times on two or more CPUs.
 
 A case that raises where a run or call should return is digested as
 ``raised <ExceptionType>``, so one tree's failure shows in the diff without
@@ -210,7 +214,7 @@ def error_outputs(work: Path) -> list[tuple[str, str]]:
 def edge_outputs(work: Path) -> list[tuple[str, str]]:
     import numpy as np
 
-    from crcal import data, synthetic
+    from crcal import data, recalibrate, synthetic
     from crcal.errors import ValidationError
 
     cohort = _write_csv(work / "edge_cohort.csv", COHORT)
@@ -313,6 +317,17 @@ def edge_outputs(work: Path) -> list[tuple[str, str]]:
     lines[blank + 1] = lines[blank + 1].rsplit(",", 1)[0]
     late += b"\n" + parsed(lines)
     out.append(("edge/late_irregular_bundle", _sha(late)))
+
+    cohort, latents = synthetic.generate_cohort(synthetic.WeibullConfig(), 1200, 9)
+    grid = synthetic.oracle_grid(cohort, latents, 64)
+    distorted = synthetic.square_distort(synthetic.oracle_bundle(latents, grid, cohort.ids))
+    try:
+        rmap = recalibrate.fit_temperature(cohort, distorted, grid)
+        applied = recalibrate.apply_temperature(distorted, rmap)
+        digest = _sha(f"{grid.d} {applied.repairs} ".encode() + rmap.temperatures.tobytes() + applied.values.tobytes())
+    except Exception as exc:
+        digest = f"raised {type(exc).__name__}"
+    out.append(("edge/ts_split", digest))
     return out
 
 
