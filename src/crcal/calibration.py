@@ -139,6 +139,8 @@ def marginal_gaps(bundle: CifBundle, marginal: MarginalCurveSet, taus) -> np.nda
     """Gaps |AJ_k(tau) - mean_i F_k(tau | x_i)|, shape (K, len(taus)): the
     common input of the marginal-calibration metric and its KS test."""
     taus = np.asarray(taus, dtype=float)
+    if np.isnan(taus).any():
+        raise ValidationError("tau must not be NaN")
     return np.abs(marginal.cifs_at(taus) - bundle.mean_at(taus))
 
 

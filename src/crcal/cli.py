@@ -285,57 +285,49 @@ def cmd_bench(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="crcal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # options that several subcommands share, each declared once
+    out, events, grid, scored = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    out.add_argument("--out", required=True)
+    events.add_argument("--k-events", type=int, default=3)
+    grid.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE)
+    scored.add_argument("--cohort", required=True)
+    scored.add_argument("--bundle", required=True)
 
-    p = sub.add_parser("simulate", help="generate a synthetic cohort with its oracle bundle")
+    p = sub.add_parser("simulate", parents=[out, grid], help="generate a synthetic cohort with its oracle bundle")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE)
     p.add_argument("--censoring-scale", type=float, default=None)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("aj", help="fit marginal curves, optionally replicate them as a bundle")
+    p = sub.add_parser("aj", parents=[out, events, grid],
+                       help="fit marginal curves, optionally replicate them as a bundle")
     p.add_argument("--cohort", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--k-events", type=int, default=3)
-    p.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE)
     p.add_argument("--replicate-for")
     p.add_argument("--bundle-out")
     p.set_defaults(func=cmd_aj)
 
-    p = sub.add_parser("metrics", help="calibration metrics and tests for a bundle")
-    p.add_argument("--cohort", required=True)
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--k-events", type=int, default=3)
+    p = sub.add_parser("metrics", parents=[scored, events, out], help="calibration metrics and tests for a bundle")
     p.add_argument("--alpha", default="2.0")
     p.add_argument("--rho-steps", type=int, default=100)
     p.add_argument("--level", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("recalibrate", help="fit a recalibration on the cal split, apply to a bundle")
+    p = sub.add_parser("recalibrate", parents=[events, grid, out],
+                       help="fit a recalibration on the cal split, apply to a bundle")
     p.add_argument("--method", choices=("aj", "ts"), required=True)
     p.add_argument("--cal-cohort", required=True)
     p.add_argument("--cal-bundle", required=True)
     p.add_argument("--test-bundle", required=True)
-    p.add_argument("--k-events", type=int, default=3)
-    p.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_recalibrate)
 
-    p = sub.add_parser("evaluate", help="C-index, Brier and IBS for a bundle")
-    p.add_argument("--cohort", required=True)
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--k-events", type=int, default=3)
+    p = sub.add_parser("evaluate", parents=[scored, events, out], help="C-index, Brier and IBS for a bundle")
     p.add_argument("--horizons", default=None, help="comma-separated times")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("bench", help="seeded end-to-end benchmark from a JSON config")
+    p = sub.add_parser("bench", parents=[out], help="seeded end-to-end benchmark from a JSON config")
     p.add_argument("--config", required=True)
     p.add_argument("--seeds", type=int, required=True)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bench)
     return parser
 

@@ -541,7 +541,7 @@ def split_cohort(
     if seed < 0:
         raise ValidationError("seed must be nonnegative")
     fractions = tuple(float(f) for f in fractions)
-    if len(fractions) != 3 or any(f <= 0 for f in fractions):
+    if len(fractions) != 3 or not all(f > 0 for f in fractions):
         raise ValidationError("fractions must be three positive reals")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValidationError("fractions must sum to 1")

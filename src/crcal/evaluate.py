@@ -13,7 +13,8 @@ shares the per-cohort set-up among every event and horizon of one call.
 The Brier score reweights observed outcomes by the censoring survival so
 that censored mass does not bias the quadratic error, and the integrated
 version averages its time integral over events. One pass scores every
-event at every requested time, one event slice at a time.
+event at every requested time, one event slice at a time. Both passes, and
+so every entry point here that takes a horizon, read it through ``_horizons``.
 """
 
 from __future__ import annotations
@@ -55,6 +56,14 @@ class EvaluationResult:
         return json.dumps(self.to_dict(), indent=2)
 
 
+def _horizons(taus) -> np.ndarray:
+    """The horizons as floats, each finite and positive, or a ValidationError."""
+    taus = np.asarray(taus, dtype=float)
+    if not ((0.0 < taus) & (taus < math.inf)).all():
+        raise ValidationError("horizons must be finite and positive")
+    return taus
+
+
 def c_indices(cohort: Cohort, bundle: CifBundle, taus, censoring: StepCurve) -> np.ndarray:
     """Concordance of every event at every horizon in taus, shape
     (K, len(taus)); NaN where no pair is usable.
@@ -66,7 +75,7 @@ def c_indices(cohort: Cohort, bundle: CifBundle, taus, censoring: StepCurve) -> 
     i to strictly exceed that of j at tau.
     """
     check_aligned(bundle, cohort)
-    taus = np.asarray(taus, dtype=float)
+    taus = _horizons(taus)
     if np.any(censoring.at_left(taus) <= 0.0):
         raise NumericError("censoring survival vanishes before the horizon; IPCW undefined")
     times, events = cohort.times, cohort.events
@@ -161,7 +170,7 @@ def brier_scores(
 ) -> np.ndarray:
     """IPCW Brier score of every event at every time in taus, shape (K, len(taus))."""
     check_aligned(bundle, cohort)
-    taus = np.asarray(taus, dtype=float)
+    taus = _horizons(taus)
     g_tau = censoring.at(taus)
     if np.any(g_tau <= 0.0):
         raise NumericError("censoring survival is zero at the evaluation time")
@@ -224,11 +233,11 @@ def mean_incidence_csv(bundle: CifBundle) -> str:
 
 
 def default_horizons(cohort: Cohort) -> list[float]:
-    """25/50/75 percent duration quantiles (lower interpolation)."""
+    """The positive ones of the 25/50/75 percent duration quantiles (lower interpolation)."""
     times = np.sort(cohort.times)
     n = times.size
     idx = [max(int(math.ceil(q * n)) - 1, 0) for q in (0.25, 0.5, 0.75)]
-    return sorted(set(float(times[i]) for i in idx))
+    return sorted(set(float(times[i]) for i in idx if times[i] > 0))
 
 
 def evaluate_bundle(
@@ -240,10 +249,7 @@ def evaluate_bundle(
     the IPCW-valid part of the bundle grid."""
     check_aligned(bundle, cohort)
     censoring = censoring_survival(cohort)
-    if horizons is None:
-        horizons = default_horizons(cohort)
-    elif not all(math.isfinite(tau) and tau > 0 for tau in horizons):
-        raise ValidationError("horizons must be finite and positive")
+    horizons = default_horizons(cohort) if horizons is None else horizons
     c_index: dict[int, dict[float, float]] = {}
     c_mean: dict[int, float] = {}
     for k, row in enumerate(c_indices(cohort, bundle, horizons, censoring).tolist(), start=1):

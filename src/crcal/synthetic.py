@@ -24,7 +24,8 @@ hold _BLOCK // workers rows, so the workspaces hold at most _BLOCK rows
 together, whatever the worker count. A value depends only on its own row,
 so the output is bitwise the same for any worker count and block size.
 Beside its output and two length-n vectors the oracle holds under 10 MB
-whatever n is.
+whatever n is. ``oracle_values``, which ``oracle_cif`` and ``oracle_bundle``
+reach, is the gate for read times: finite and nonnegative, or a ValidationError.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CifBundle, Cohort, TimeGrid, _csv_id, _fmt, _run_shares, _table, _workers, quantile_grid
+from .data import CifBundle, Cohort, TimeGrid, _csv_id, _fmt, _run_shares, _table, _workers, check_event, quantile_grid
 from .errors import ValidationError
 
 N_HEAD = 512
@@ -336,8 +337,11 @@ def oracle_values(latents, read_times: np.ndarray) -> np.ndarray:
     lams, shapes = latent_arrays(latents)
     n, k = lams.shape
     read_times = np.asarray(read_times, dtype=float)
-    if read_times.ndim != 1 and read_times.shape[0] != n:
-        raise ValidationError("per-sample read times must align with latents")
+    if read_times.ndim not in (1, 2) or read_times.shape[:-1] not in ((), (n,)) or not read_times.size:
+        raise ValidationError("read times must be a non-empty common grid or one row per latent")
+    # checked as given, before the broadcast: a common grid costs m elements
+    if not ((0.0 <= read_times) & (read_times < np.inf)).all():
+        raise ValidationError("read times must be finite and nonnegative")
     m = read_times.shape[-1]
     read_times = np.broadcast_to(read_times, (n, m))
     s1, s_hi = _meshes(lams, shapes, read_times)
@@ -374,12 +378,10 @@ def oracle_values(latents, read_times: np.ndarray) -> np.ndarray:
 
 def oracle_cif(latent: LatentRecord, k: int, t: float) -> float:
     """True F_k(t | x) for one latent record."""
-    if t < 0:
-        raise ValidationError("time must be nonnegative")
+    check_event(k, len(latent.lambdas))
     if t == 0.0:
         return 0.0
-    vals = oracle_values([latent], np.asarray([t]))
-    return float(vals[0, k - 1, 0])
+    return float(oracle_values([latent], [t])[0, k - 1, 0])
 
 
 def oracle_survival(latents, times) -> np.ndarray:
@@ -405,6 +407,8 @@ def survival_horizon(latents, eps: float = 1e-6) -> float:
     Realizes the "infinite" prediction horizon: beyond this time every
     sample's CIFs have reached their terminal mass up to eps.
     """
+    if not 0.0 < eps < 1.0:
+        raise ValidationError("eps must lie in (0, 1)")
     lams, shapes = latent_arrays(latents)
     target = float(-np.log(eps))
     upper = np.full(lams.shape[0], 1.0)

@@ -297,6 +297,12 @@ class TestPiCal:
         per, total = pi_cal_alpha(bundle, curves, MetricParams(), grid)
         assert total == pytest.approx(0.0, abs=1e-12)
 
+    def test_nan_tau_rejected(self):
+        # the step lookup would sort NaN past the last grid time
+        cohort, curves, grid, bundle = self._aj_setup()
+        with pytest.raises(ValidationError, match="NaN"):
+            pi_cal_tau(bundle, curves, 1, float("nan"))
+
     def test_before_first_jump(self):
         cohort, curves, grid, bundle = self._aj_setup()
         vals = np.full((2, 2, 2), 0.05)

@@ -1,10 +1,11 @@
+import argparse
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from crcal.cli import main
+from crcal.cli import build_parser, main
 from crcal.data import CifBundle, TimeGrid, bundle_to_csv, parse_bundle, parse_cohort
 
 
@@ -316,6 +317,7 @@ class TestRecalibrateAndEvaluate:
             (["bench", "--seeds", 1], '{"n": 300, "seed": false, "model": "oracle"}'),
             (["bench", "--seeds", 1], '{"n": 300, "grid_size": 8.5, "model": "oracle"}'),
             (["bench", "--seeds", 1], '{"n": 300, "rho_steps": 10.5, "model": "oracle"}'),
+            (["bench", "--seeds", 1], '{"n": 300, "fractions": [NaN, 0.5, 0.5]}'),
         ],
     )
     def test_malformed_input_exits_two(self, tmp_path, capsys, command, config):
@@ -329,6 +331,73 @@ class TestRecalibrateAndEvaluate:
         assert run(command + paths + ["--out", tmp_path / "out"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
+
+
+class TestParser:
+    # every subcommand's options as (type, default, required), shared options
+    # included; declaring a shared option once must not change this table
+    OPTIONS = {
+        "simulate": {
+            "--n": (int, None, True),
+            "--seed": (int, None, True),
+            "--out": (None, None, True),
+            "--grid-size": (int, 64, False),
+            "--censoring-scale": (float, None, False),
+        },
+        "aj": {
+            "--cohort": (None, None, True),
+            "--out": (None, None, True),
+            "--k-events": (int, 3, False),
+            "--grid-size": (int, 64, False),
+            "--replicate-for": (None, None, False),
+            "--bundle-out": (None, None, False),
+        },
+        "metrics": {
+            "--cohort": (None, None, True),
+            "--bundle": (None, None, True),
+            "--k-events": (int, 3, False),
+            "--alpha": (None, "2.0", False),
+            "--rho-steps": (int, 100, False),
+            "--level": (float, 0.05, False),
+            "--seed": (int, None, False),
+            "--out": (None, None, True),
+        },
+        "recalibrate": {
+            "--method": (None, None, True),
+            "--cal-cohort": (None, None, True),
+            "--cal-bundle": (None, None, True),
+            "--test-bundle": (None, None, True),
+            "--k-events": (int, 3, False),
+            "--grid-size": (int, 64, False),
+            "--out": (None, None, True),
+        },
+        "evaluate": {
+            "--cohort": (None, None, True),
+            "--bundle": (None, None, True),
+            "--k-events": (int, 3, False),
+            "--horizons": (None, None, False),
+            "--out": (None, None, True),
+        },
+        "bench": {
+            "--config": (None, None, True),
+            "--seeds": (int, None, True),
+            "--out": (None, None, True),
+        },
+    }
+
+    def test_options_are_unchanged(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(self.OPTIONS)
+        for name, parser in sub.choices.items():
+            options = {
+                flag: (action.type, action.default, action.required)
+                for action in parser._actions
+                for flag in action.option_strings
+                if action.dest != "help"
+            }
+            assert options == self.OPTIONS[name], name
+        method = next(a for a in sub.choices["recalibrate"]._actions if a.dest == "method")
+        assert method.choices == ("aj", "ts")
 
 
 class TestBench:

@@ -586,6 +586,11 @@ class TestSplitCohort:
         with pytest.raises(ValidationError, match="seed must be nonnegative"):
             split_cohort(self._cohort(10), seed=-1)
 
+    @pytest.mark.parametrize("fractions", [(float("nan"), 0.5, 0.5), (0.5, 0.5, float("nan"))])
+    def test_nan_fraction_rejected(self, fractions):
+        with pytest.raises(ValidationError, match="three positive reals"):
+            split_cohort(self._cohort(10), seed=0, fractions=fractions)
+
     def test_largest_remainder(self):
         parts = split_cohort(self._cohort(5), seed=3, fractions=(0.4, 0.4, 0.2))
         assert tuple(p.n for p in parts) == (2, 2, 1)

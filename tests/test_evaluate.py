@@ -355,13 +355,41 @@ class TestEvaluateBundle:
         d = result.to_dict()
         assert set(d) == {"c_index", "c_index_mean", "brier", "ibs"}
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, 0.0])
-    def test_rejects_non_finite_or_non_positive_horizons(self, bad):
+    # every entry point reaches the one horizon gate of c_indices and
+    # brier_scores; the evaluate_bundle ids carry the bad horizon alone
+    @pytest.mark.parametrize("entry, bad", [
+        pytest.param(entry, bad, id=str(bad) if entry == "evaluate_bundle" else f"{entry}-{bad}")
+        for entry in ("evaluate_bundle", "c_indices", "brier_scores", "cr_c_index", "brier_score")
+        for bad in (math.nan, math.inf, -math.inf, -1.0, 0.0)
+    ])
+    def test_rejects_non_finite_or_non_positive_horizons(self, entry, bad):
         cohort, latents = generate_cohort(WeibullConfig(), 200, seed=15)
         grid = TimeGrid(np.unique(np.quantile(cohort.times, [0.3, 0.6, 0.9])))
         bundle = oracle_bundle(latents, grid, cohort.ids)
-        with pytest.raises(ValidationError):
-            evaluate_bundle(cohort, bundle, [float(np.median(cohort.times)), bad])
+        g = censoring_survival(cohort)
+        taus = [float(np.median(cohort.times)), bad]
+        calls = {
+            "evaluate_bundle": lambda: evaluate_bundle(cohort, bundle, taus),
+            "c_indices": lambda: c_indices(cohort, bundle, taus, g),
+            "brier_scores": lambda: brier_scores(cohort, bundle, taus, g),
+            "cr_c_index": lambda: cr_c_index(cohort, bundle, 1, bad, g),
+            "brier_score": lambda: brier_score(cohort, bundle, 1, bad, g),
+        }
+        with pytest.raises(ValidationError, match="horizons must be finite and positive"):
+            calls[entry]()
+
+    def test_default_horizons_leave_out_time_zero(self):
+        # a cohort may hold zero times; here 30% are zero, so the lower
+        # quartile is 0, which the horizon gate would reject
+        rng = np.random.default_rng(0)
+        times = np.concatenate((np.zeros(12), rng.uniform(0.5, 3.0, 28)))
+        events = np.concatenate((np.ones(12, dtype=int), rng.integers(0, 3, 28)))
+        cohort = make_cohort(times, events, k=2)
+        hs = default_horizons(cohort)
+        assert hs and min(hs) > 0.0
+        bundle = make_bundle([1.0, 2.0, 3.0], np.sort(rng.uniform(0.01, 0.4, (40, 2, 3)), axis=2), cohort.ids)
+        result = evaluate_bundle(cohort, bundle)
+        assert all(list(result.c_index[k]) == hs for k in (1, 2))
 
 
 class TestEventNumber:

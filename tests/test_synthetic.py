@@ -285,6 +285,13 @@ class TestOracleCif:
         rec = LatentRecord((0.5, 1.0, 2.0), (3.0, 1.5, 2.0), 0.1, 1, 1.0)
         assert oracle_cif(rec, 2, 0.0) == 0.0
 
+    # the event is checked before the zero-time shortcut, the time by oracle_values
+    @pytest.mark.parametrize("k, t", [(0, 1.0), (4, 1.0), (0, 0.0), (1, np.nan), (1, np.inf), (1, -1.0)])
+    def test_rejects_an_event_outside_one_to_k_or_a_bad_time(self, k, t):
+        rec = LatentRecord((0.5, 1.0, 2.0), (3.0, 1.5, 2.0), 0.1, 1, 1.0)
+        with pytest.raises(ValidationError):
+            oracle_cif(rec, k, t)
+
     def test_equal_shape_closed_form(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
@@ -331,6 +338,12 @@ class TestOracleBundle:
         bundle = oracle_bundle(latents, TimeGrid(np.array([0.5, horizon])))
         assert bundle.values[:, :, -1].sum(axis=1).min() >= 1 - 1e-5
 
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 2.0, -1.0, np.nan])
+    def test_horizon_rejects_eps_outside_zero_one(self, eps):
+        _, latents = generate_cohort(WeibullConfig(), 200, seed=10)
+        with pytest.raises(ValidationError, match="eps"):
+            survival_horizon(latents, eps=eps)
+
     def test_oracle_grid_appends_a_later_horizon(self):
         cohort, latents = generate_cohort(WeibullConfig(), 200, seed=10)
         grid = oracle_grid(cohort, latents, 16)
@@ -351,6 +364,24 @@ class TestOracleBundle:
         horizon = survival_horizon(sub, eps=1e-6)
         terminal = oracle_values(sub, np.array([horizon]))[:, :, 0].mean(axis=0)
         assert np.abs(freq - terminal).max() < 0.01
+
+
+class TestOracleReadTimes:
+    # a common grid or one row per latent, each time finite and nonnegative
+    @pytest.mark.parametrize("times", [
+        pytest.param(np.array([0.5, np.nan]), id="nan"),
+        pytest.param(np.array([0.5, np.inf]), id="inf"),
+        pytest.param(np.array([-0.5, 1.0]), id="negative"),
+        pytest.param(np.full((5, 2), 0.5) + [0.0, np.inf], id="per-sample-inf"),
+        pytest.param(np.array(0.5), id="scalar"),
+        pytest.param(np.array([]), id="empty"),
+        pytest.param(np.full((4, 2), 0.5), id="too-few-rows"),
+        pytest.param(np.full((5, 2, 1), 0.5), id="three-d"),
+    ])
+    def test_rejects(self, times):
+        _, latents = generate_cohort(WeibullConfig(), 5, seed=12)
+        with pytest.raises(ValidationError, match="read times"):
+            oracle_values(latents, times)
 
 
 class TestAgainstReferenceOracle:

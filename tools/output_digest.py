@@ -43,7 +43,12 @@ moved, to the last bit. Each line is ``<label> <sha256>``. The set:
   ``edge/ts_split``, the ``fit_temperature`` betas and the bundle they
   recalibrate, with its repair count, for the square-distorted oracle
   bundle of 1200 samples on a 65-time ``oracle_grid``: a fit large enough
-  to be split by grid times on two or more CPUs.
+  to be split by grid times on two or more CPUs; ``edge/bad_inputs/<case>``,
+  what each library call with an input outside its rules returns (NaN,
+  infinite or non-positive horizons, events outside 1..K, non-finite,
+  negative or scalar oracle read times, a NaN pi-calibration time, a
+  survival-horizon eps outside (0, 1)), and the exit code and stderr of a
+  ``crcal bench`` whose split fractions hold a NaN.
 
 A case that raises where a run or call should return is digested as
 ``raised <ExceptionType>``, so one tree's failure shows in the diff without
@@ -328,6 +333,57 @@ def edge_outputs(work: Path) -> list[tuple[str, str]]:
     except Exception as exc:
         digest = f"raised {type(exc).__name__}"
     out.append(("edge/ts_split", digest))
+    return out + bad_input_outputs(work)
+
+
+def _outcome(call) -> str:
+    """The digest of what ``call()`` returns, or ``raised <ExceptionType>``."""
+    import numpy as np
+
+    try:
+        with np.errstate(all="ignore"):
+            value = np.asarray(call(), dtype=float)
+    except Exception as exc:
+        return f"raised {type(exc).__name__}"
+    return _sha(f"{value.shape} {value.tobytes().hex()}")
+
+
+def bad_input_outputs(work: Path) -> list[tuple[str, str]]:
+    import numpy as np
+
+    from crcal import calibration, evaluate, synthetic
+    from crcal.curves import aalen_johansen, censoring_survival
+
+    cohort, latents = synthetic.generate_cohort(synthetic.WeibullConfig(), 300, 1)
+    grid = synthetic.oracle_grid(cohort, latents, 16)
+    bundle = synthetic.oracle_bundle(latents, grid, cohort.ids)
+    g, aj = censoring_survival(cohort), aalen_johansen(cohort)
+    tau = float(np.median(cohort.times))
+    one_inf = np.append(grid.times[:-1], np.inf)
+    calls = {
+        "brier_score_nan": lambda: evaluate.brier_score(cohort, bundle, 1, np.nan, g),
+        "brier_scores_zero": lambda: evaluate.brier_scores(cohort, bundle, [tau, 0.0], g),
+        "cr_c_index_inf": lambda: evaluate.cr_c_index(cohort, bundle, 1, np.inf, g),
+        "c_indices_negative": lambda: evaluate.c_indices(cohort, bundle, [tau, -1.0], g),
+        "evaluate_bundle_nan": lambda: evaluate.evaluate_bundle(cohort, bundle, [tau, np.nan]).ibs,
+        "oracle_cif_event_0": lambda: synthetic.oracle_cif(latents[0], 0, tau),
+        "oracle_cif_event_4": lambda: synthetic.oracle_cif(latents[0], 4, tau),
+        "oracle_cif_nan": lambda: synthetic.oracle_cif(latents[0], 1, np.nan),
+        "oracle_cif_inf": lambda: synthetic.oracle_cif(latents[0], 1, np.inf),
+        "oracle_cif_negative": lambda: synthetic.oracle_cif(latents[0], 1, -1.0),
+        "oracle_values_inf": lambda: synthetic.oracle_values(latents, one_inf),
+        "oracle_values_nan": lambda: synthetic.oracle_values(latents, np.append(grid.times, np.nan)),
+        "oracle_values_scalar": lambda: synthetic.oracle_values(latents, tau),
+        "pi_cal_tau_nan": lambda: calibration.pi_cal_tau(bundle, aj, 1, np.nan),
+    }
+    for eps in (0.0, 1.0, 2.0, -1.0):
+        calls[f"survival_horizon_eps_{eps!r}"] = lambda eps=eps: synthetic.survival_horizon(latents[:200], eps)
+    out = [(f"edge/bad_inputs/{name}", _outcome(call)) for name, call in calls.items()]
+
+    config = work / "nan_fractions.json"
+    config.write_text('{"n": 300, "fractions": [NaN, 0.5, 0.5]}')
+    result = _exit(work, "bench", "--config", config, "--seeds", "1", "--out", work / "nan_fractions")
+    out.append(("edge/bad_inputs/bench_nan_fractions", _sha(result)))
     return out
 
 
