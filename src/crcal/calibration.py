@@ -156,16 +156,14 @@ def pi_cal_tau(bundle: CifBundle, marginal: MarginalCurveSet, k: int, tau: float
 def pi_cal_alpha(
     bundle: CifBundle,
     marginal: MarginalCurveSet,
-    params: MetricParams = MetricParams(),
-    grid: TimeGrid | None = None,
+    params: MetricParams,
+    grid: TimeGrid,
 ) -> tuple[dict[int, float], float]:
     """Time-integrated alpha-norm of the marginal gaps, per event and total.
 
     The integral is a Riemann sum over the grid anchored at tau_0 = 0,
     sum_j gap(tau_j)^alpha (tau_j - tau_{j-1}), taken to the 1/alpha power.
     """
-    if grid is None:
-        grid = bundle.grid
     if grid.t_max > bundle.grid.t_max * (1 + 1e-12):
         raise ValidationError("integration grid extends past the bundle horizon")
     deltas = np.diff(np.concatenate(([0.0], grid.times)))

@@ -41,9 +41,8 @@ class StepCurve:
         return step_values(self.jump_times, self.values, t, self.initial_value)
 
     def at_left(self, t) -> np.ndarray:
-        """Left limit, the value just before time t."""
-        padded = np.concatenate(([self.initial_value], self.values))
-        return padded[np.searchsorted(self.jump_times, np.asarray(t, dtype=float), side="left")]
+        """Left limit, the value just before time t: the value at the float below t."""
+        return self.at(np.nextafter(np.asarray(t, dtype=float), -np.inf))
 
     def to_csv(self) -> str:
         rows = zip(map(_fmt, self.jump_times.tolist()), map(_fmt, self.values.tolist()))

@@ -134,10 +134,12 @@ def step_indices(grid_times: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def step_values(grid_times: np.ndarray, values: np.ndarray, t, before: float = 0.0) -> np.ndarray:
     """Right-continuous lookup of ``values`` (last axis on ``grid_times``) at t,
-    ``before`` ahead of the grid. Fancy indexing keeps times outermost in
-    memory, which fixes the summation order of a later mean over samples."""
+    ``before`` ahead of the grid, in one new array, even for a scalar t. Times
+    lie outermost in memory, which fixes the summation order of a sample mean."""
     idx = step_indices(grid_times, t)
-    return np.where(idx >= 0, values[..., np.maximum(idx, 0)], before)
+    out = values[..., np.maximum(idx, 0).ravel()].reshape(values.shape[:-1] + idx.shape)
+    np.copyto(out, before, where=idx < 0)
+    return out
 
 
 def _sample_mean(x: np.ndarray, buf: np.ndarray | None = None) -> np.ndarray:
@@ -249,10 +251,6 @@ class CifBundle:
         idx = step_indices(self.grid.times, t)[:, None, None]
         picked = np.take_along_axis(self.values, np.maximum(idx, 0), axis=2)
         return np.where(idx >= 0, picked, 0.0)[:, :, 0]
-
-    def survival_at_own_times(self, t: np.ndarray) -> np.ndarray:
-        """Implied survival 1 - sum_k F_k at each sample's own time."""
-        return 1.0 - self.values_at_own_times(t).sum(axis=1)
 
     def terminal(self) -> np.ndarray:
         """CIF values at t_max, shape (n, K); stands in for F_k(inf)."""

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import StepCurve, censoring_survival
-from .data import CifBundle, Cohort, TimeGrid, _fmt, _sample_mean, _table, check_aligned, check_event, step_indices
+from .data import CifBundle, Cohort, TimeGrid, _fmt, _table, check_aligned, check_event, step_values
 from .errors import NumericError, ValidationError
 
 @dataclass(frozen=True)
@@ -179,13 +179,11 @@ def brier_scores(
     known = np.where(failed, 1.0, 0.0) / np.where(failed, censoring.at_left(times), 1.0)
     done = times[None, :] <= taus[:, None]
     weights = np.where(done, known, 1.0 / g_tau[:, None])
-    idx = step_indices(bundle.grid.times, taus)
     out = np.empty((bundle.k_events, taus.size))
     for k in range(bundle.k_events):
         # (len(taus), n) predictions of one event, turned in place into the
         # weighted squared errors
-        err = bundle.values[:, k, :].T[np.maximum(idx, 0)]
-        err[idx < 0] = 0.0
+        err = step_values(bundle.grid.times, bundle.values[:, k, :], taus).T
         err -= done & (events == k + 1)
         err *= err
         err *= weights
@@ -218,7 +216,7 @@ def integrated_brier(
 
 def mean_incidence(bundle: CifBundle) -> np.ndarray:
     """Across-sample mean CIF per event and grid time, shape (K, d)."""
-    return _sample_mean(bundle.values)
+    return bundle.mean_at(bundle.grid.times)
 
 
 def mean_incidence_csv(bundle: CifBundle) -> str:

@@ -37,6 +37,8 @@ def kolmogorov_p(lam: float) -> float:
     Below lambda = 1e-3 the tail equals 1 to double precision, which also
     sidesteps the slow convergence of the alternating series there.
     """
+    if math.isnan(lam):
+        raise ValidationError("lambda must not be NaN")
     if lam <= 1e-3:
         return 1.0
     total = 0.0
@@ -61,7 +63,8 @@ def ks_uniform(samples) -> tuple[float, float]:
     n = u.size
     if n == 0:
         raise ValidationError("empty sample")
-    if u[0] < 0.0 or u[-1] > 1.0:
+    # NaN sorts last and fails the upper bound
+    if not (u[0] >= 0.0 and u[-1] <= 1.0):
         raise ValidationError("samples must lie in [0, 1]")
     i = np.arange(1, n + 1)
     d = float(np.maximum(i / n - u, u - (i - 1) / n).max())

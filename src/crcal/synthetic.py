@@ -24,8 +24,8 @@ hold _BLOCK // workers rows, so the workspaces hold at most _BLOCK rows
 together, whatever the worker count. A value depends only on its own row,
 so the output is bitwise the same for any worker count and block size.
 Beside its output and two length-n vectors the oracle holds under 10 MB
-whatever n is. ``oracle_values``, which ``oracle_cif`` and ``oracle_bundle``
-reach, is the gate for read times: finite and nonnegative, or a ValidationError.
+whatever n is. ``oracle_values``, which ``oracle_cif`` and ``oracle_bundle`` reach, and
+``oracle_survival`` take finite, nonnegative read times; others raise ValidationError.
 """
 
 from __future__ import annotations
@@ -328,6 +328,12 @@ def _meshes(lams, shapes, read_times):
     return np.minimum(0.25 * lams.min(axis=1), s_hi), s_hi
 
 
+def _check_read_times(times: np.ndarray) -> None:
+    """Reject a read time that is negative, NaN or infinite."""
+    if not ((0.0 <= times) & (times < np.inf)).all():
+        raise ValidationError("read times must be finite and nonnegative")
+
+
 def oracle_values(latents, read_times: np.ndarray) -> np.ndarray:
     """True CIFs for every latent record at given times.
 
@@ -340,8 +346,7 @@ def oracle_values(latents, read_times: np.ndarray) -> np.ndarray:
     if read_times.ndim not in (1, 2) or read_times.shape[:-1] not in ((), (n,)) or not read_times.size:
         raise ValidationError("read times must be a non-empty common grid or one row per latent")
     # checked as given, before the broadcast: a common grid costs m elements
-    if not ((0.0 <= read_times) & (read_times < np.inf)).all():
-        raise ValidationError("read times must be finite and nonnegative")
+    _check_read_times(read_times)
     m = read_times.shape[-1]
     read_times = np.broadcast_to(read_times, (n, m))
     s1, s_hi = _meshes(lams, shapes, read_times)
@@ -379,8 +384,6 @@ def oracle_values(latents, read_times: np.ndarray) -> np.ndarray:
 def oracle_cif(latent: LatentRecord, k: int, t: float) -> float:
     """True F_k(t | x) for one latent record."""
     check_event(k, len(latent.lambdas))
-    if t == 0.0:
-        return 0.0
     return float(oracle_values([latent], [t])[0, k - 1, 0])
 
 
@@ -388,6 +391,7 @@ def oracle_survival(latents, times) -> np.ndarray:
     """Closed-form survival exp(-H(t)) of each latent record at common times, shape (n, *times.shape)."""
     lams, shapes = latent_arrays(latents)
     times = np.asarray(times, dtype=float)
+    _check_read_times(times)
     h = _cum_hazard(lams[:, None, :], shapes[:, None, :], times.reshape(1, -1))
     return np.exp(-np.minimum(h, 745.0)).reshape(lams.shape[0], *times.shape)
 

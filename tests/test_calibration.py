@@ -82,7 +82,7 @@ class TestBucketMass:
             cohort, bundle = random_case(rng)
             f_t = bundle.values_at_own_times(cohort.times)[:, 0]
             f_inf = bundle.terminal()[:, 0]
-            surv = bundle.survival_at_own_times(cohort.times)
+            surv = 1.0 - bundle.values_at_own_times(cohort.times).sum(axis=1)
             cens = cohort.events == 0
             expected = ((cohort.events == 1).sum() + ((f_inf - f_t)[cens] / surv[cens]).sum()) / f_inf.sum()
             assert bucket_mass(bundle, cohort, 1, 1.0) == pytest.approx(expected, rel=1e-12)
@@ -124,7 +124,7 @@ def literal_bucket(bundle, cohort, k, rho):
     """Direct per-sample transcription of the bucket accumulation."""
     f_t = bundle.values_at_own_times(cohort.times)[:, k - 1]
     f_inf = bundle.terminal()[:, k - 1]
-    surv = bundle.survival_at_own_times(cohort.times)
+    surv = 1.0 - bundle.values_at_own_times(cohort.times).sum(axis=1)
     count = 0.0
     cens = 0.0
     for i in range(cohort.n):

@@ -318,6 +318,7 @@ class TestRecalibrateAndEvaluate:
             (["bench", "--seeds", 1], '{"n": 300, "grid_size": 8.5, "model": "oracle"}'),
             (["bench", "--seeds", 1], '{"n": 300, "rho_steps": 10.5, "model": "oracle"}'),
             (["bench", "--seeds", 1], '{"n": 300, "fractions": [NaN, 0.5, 0.5]}'),
+            (["bench", "--seeds", 1], '{"n": 300, "model": "nope"}'),
         ],
     )
     def test_malformed_input_exits_two(self, tmp_path, capsys, command, config):
@@ -421,6 +422,15 @@ class TestBench:
             splits = json.loads((d / "splits.json").read_text())
             assert splits["disjoint"]
             assert not (set(splits["cal_ids"]) & set(splits["test_ids"]))
+
+    def test_bench_model_defaults_to_aj(self, tmp_path):
+        # a config without "model" benches the AJ marginal model
+        (tmp_path / "bench.json").write_text('{"n": 300, "seed": 1}')
+        (tmp_path / "aj.json").write_text('{"n": 300, "seed": 1, "model": "aj"}')
+        for name in ("bench", "aj"):
+            assert run(["bench", "--config", tmp_path / f"{name}.json", "--seeds", 1, "--out", tmp_path / name]) == 0
+        for f in ("summary.json", "seed_1/report_base.json", "seed_1/map_ts.json"):
+            assert (tmp_path / "bench" / f).read_bytes() == (tmp_path / "aj" / f).read_bytes()
 
     def test_bench_deterministic(self, tmp_path):
         cfg = self._config(tmp_path, n=300)

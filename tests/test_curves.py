@@ -162,7 +162,44 @@ class TestAalenJohansen:
         assert np.all(np.diff(curves.aj_cif[0]) >= 0.0)
 
 
+def padded_left_limit(curve, t):
+    """The left limit by a left-sided search over the values with the initial
+    value in front: the reference for ``StepCurve.at_left``."""
+    padded = np.concatenate(([curve.initial_value], curve.values))
+    return padded[np.searchsorted(curve.jump_times, np.asarray(t, dtype=float), side="left")]
+
+
+# reads a left limit must get right besides the jump times and their
+# neighbors: zero of both signs, the smallest subnormals, the infinities, NaN
+EDGE_TIMES = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan]
+
+
 class TestStepCurve:
+    @given(
+        st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8, unique=True),
+        st.floats(0.0, 1.0),
+        st.data(),
+    )
+    def test_left_limit_matches_padded_search(self, jumps, initial, picks):
+        jt = np.sort(jumps)
+        values = picks.draw(st.lists(st.floats(0.0, 1.0), min_size=jt.size, max_size=jt.size))
+        curve = StepCurve(jt, values, initial)
+        pool = [*jt.tolist(), *np.nextafter(jt, np.inf).tolist(), *np.nextafter(jt, -np.inf).tolist(), *EDGE_TIMES]
+        t = picks.draw(st.lists(st.sampled_from(pool) | st.floats(), min_size=1, max_size=10))
+        assert np.array_equal(curve.at_left(t), padded_left_limit(curve, t))
+        for x in t:
+            assert curve.at_left(x) == padded_left_limit(curve, x)
+
+    def test_reads_never_write_into_the_curve(self):
+        # a scalar read before the first jump gets the initial value in an
+        # array of its own
+        c = StepCurve(np.array([1.0, 2.0]), np.array([0.6, 0.2]), 1.0)
+        for read in (c.at, c.at_left):
+            for t in (0.5, np.float64(0.5), 1.0, 2.5, np.array([0.5, 1.5])):
+                assert not np.shares_memory(read(t), c.values)
+                assert c.values.tolist() == [0.6, 0.2]
+        assert c.at(0.5) == c.at_left(1.0) == 1.0
+
     def test_left_limits(self):
         c = StepCurve(np.array([1.0, 2.0]), np.array([0.6, 0.2]), 1.0)
         assert c.at_left(1.0) == 1.0

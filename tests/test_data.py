@@ -555,9 +555,47 @@ class TestBundleEvaluation:
         t = np.asarray(data.draw(st.lists(st.sampled_from(pool.tolist()), min_size=1, max_size=8)))
         assert np.array_equal(bundle.mean_at(t), bundle.values_at(t).mean(axis=0))
 
-    def test_survival_at_own_times(self):
-        s = self.bundle.survival_at_own_times(np.array([2.5]))
-        assert s[0] == pytest.approx(1.0 - 0.2 - 0.1)
+    def test_reads_never_write_into_the_bundle(self):
+        # a scalar read or one before the grid gets an array of its own
+        for t in (np.float64(0.5), 0.5, 2.5, np.array([0.5, 3.0])):
+            out = self.bundle.values_at(t)
+            assert not np.shares_memory(out, self.bundle.values)
+            assert self.bundle.values.tolist() == [[[0.1, 0.2, 0.4], [0.05, 0.1, 0.2]]]
+        assert self.bundle.values_at(np.float64(0.5)).tolist() == [[0.0, 0.0]]
+
+    def test_values_at_own_times(self):
+        assert self.bundle.values_at_own_times(np.array([2.5])).tolist() == [[0.2, 0.1]]
+        assert self.bundle.values_at_own_times(np.array([0.5])).tolist() == [[0.0, 0.0]]
+
+
+def where_step_values(grid_times, values, t, before=0.0):
+    """The step lookup as a gather and then ``np.where``, two output-sized
+    arrays: the reference for ``data.step_values``."""
+    idx = np.searchsorted(grid_times, np.asarray(t, dtype=float), side="right") - 1
+    return np.where(idx >= 0, values[..., np.maximum(idx, 0)], before)
+
+
+class TestStepValues:
+    @given(st.integers(1, 6), st.sampled_from([(), (3,), (4, 2)]), st.integers(0, 2**32 - 1), st.data())
+    def test_matches_the_where_form(self, d, lead, seed, picks):
+        rng = np.random.default_rng(seed)
+        grid = np.cumsum(rng.uniform(0.1, 1.0, d))
+        values = rng.uniform(0.0, 1.0, lead + (d,))
+        between = (grid[:-1] + grid[1:]) / 2
+        pool = np.concatenate((grid, between, [grid[0] / 2, 0.0, -0.0, grid[-1] * 2, np.inf, -np.inf, np.nan]))
+        t = picks.draw(st.lists(st.sampled_from(pool.tolist()), min_size=1, max_size=8))
+        before = picks.draw(st.sampled_from([0.0, 1.0, 0.25]))
+        for read in (np.asarray(t), t[0], np.float64(t[0])):
+            got, want = data.step_values(grid, values, read, before), where_step_values(grid, values, read, before)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert not np.shares_memory(got, values)
+        # times outermost, as the where form lays them out (a stride of a
+        # length-1 axis says nothing about the layout)
+        got = data.step_values(grid, values, np.asarray(t), before)
+        want = where_step_values(grid, values, np.asarray(t), before)
+        assert [s for s, n in zip(got.strides, got.shape) if n > 1] == [
+            s for s, n in zip(want.strides, want.shape) if n > 1
+        ]
 
 
 class TestSplitCohort:

@@ -207,6 +207,10 @@ class TestCIndex:
         two = make_bundle([2.0], np.repeat(bundle.values, 2, axis=1) / 2, cohort.ids)
         g = censoring_survival(cohort)
         assert math.isnan(cr_c_index(cohort, two, 1, 1.5, g))
+        # one case, with no record after it, no censoring tied with it and
+        # no earlier other-cause failure: it pairs with nothing
+        lone = make_cohort([1.0, 2.0], [0, 1], k=1)
+        assert math.isnan(cr_c_index(lone, bundle, 1, 2.0, censoring_survival(lone)))
 
 
 class TestBrier:

@@ -11,6 +11,7 @@ from crcal.curves import aalen_johansen, marginal_bundle
 from crcal.data import quantile_grid
 from crcal.errors import ValidationError
 from crcal.kstests import d_cal_test, kolmogorov_p, ks_uniform, pi_cal_test
+from crcal.report import calibration_report
 
 
 class TestKolmogorovP:
@@ -49,6 +50,11 @@ class TestKsUniform:
             ks_uniform([])
         with pytest.raises(ValidationError):
             ks_uniform([0.5, 1.2])
+        # NaN sorts last; let through, it would start a tail series that never ends
+        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+            ks_uniform([0.2, math.nan, 0.7])
+        with pytest.raises(ValidationError):
+            kolmogorov_p(math.nan)
 
     def test_null_rejection_rate(self):
         # light version of the null calibration check (full one is in the
@@ -91,6 +97,11 @@ class TestDCalTest:
             results, overall = d_cal_test(two_event, two_cohort)
         assert not results[2].testable
         assert results[1].passed and overall
+        # the report marks the untestable event and only it
+        with pytest.warns(UserWarning, match="not testable"):
+            tests = calibration_report(two_event, two_cohort).to_dict()["tests"]["d_cal"]
+        assert tests["2"]["not_testable"] is True and tests["2"]["D"] is None
+        assert "not_testable" not in tests["1"]
 
     def test_statistic_matches_metric_sup_norm(self):
         rng = np.random.default_rng(7)

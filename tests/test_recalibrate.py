@@ -367,6 +367,21 @@ class TestBatchedTemperature:
         assert out.repairs == repairs
 
 
+class TestStepExtension:
+    def test_reads_before_the_map_grid_leave_the_map_alone(self):
+        # the bundle's first time precedes both maps' grids, where the step
+        # extension reads beta 1 and offset 0 into its own array
+        bundle = make_bundle([0.5, 1.0], np.array([[[0.2, 0.4], [0.1, 0.3]]]))
+        grid = TimeGrid(np.array([1.0]))
+        tmap = RecalibrationMap(TEMPERATURE, grid, temperatures=np.array([2.0]))
+        omap = RecalibrationMap(AJ_OFFSET, grid, offsets=np.array([[-0.1], [0.05], [0.05]]))
+        scaled, shifted = apply_temperature(bundle, tmap), apply_offsets(bundle, omap)
+        assert tmap.temperatures.tolist() == [2.0]
+        assert omap.offsets.tolist() == [[-0.1], [0.05], [0.05]]
+        assert np.array_equal(shifted.values[:, :, 0], bundle.values[:, :, 0])
+        assert np.abs(scaled.values[:, :, 0] - bundle.values[:, :, 0]).max() < 1e-8
+
+
 class TestSplitFit:
     # each case holds at least two shares' worth of the (K+1) x n x d vectors
     # and so is split on two or more CPUs, except d = 1, which cannot split;

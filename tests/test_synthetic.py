@@ -285,7 +285,7 @@ class TestOracleCif:
         rec = LatentRecord((0.5, 1.0, 2.0), (3.0, 1.5, 2.0), 0.1, 1, 1.0)
         assert oracle_cif(rec, 2, 0.0) == 0.0
 
-    # the event is checked before the zero-time shortcut, the time by oracle_values
+    # the event is checked by check_event, the time by oracle_values
     @pytest.mark.parametrize("k, t", [(0, 1.0), (4, 1.0), (0, 0.0), (1, np.nan), (1, np.inf), (1, -1.0)])
     def test_rejects_an_event_outside_one_to_k_or_a_bad_time(self, k, t):
         rec = LatentRecord((0.5, 1.0, 2.0), (3.0, 1.5, 2.0), 0.1, 1, 1.0)
@@ -367,21 +367,26 @@ class TestOracleBundle:
 
 
 class TestOracleReadTimes:
-    # a common grid or one row per latent, each time finite and nonnegative
-    @pytest.mark.parametrize("times", [
-        pytest.param(np.array([0.5, np.nan]), id="nan"),
-        pytest.param(np.array([0.5, np.inf]), id="inf"),
-        pytest.param(np.array([-0.5, 1.0]), id="negative"),
-        pytest.param(np.full((5, 2), 0.5) + [0.0, np.inf], id="per-sample-inf"),
-        pytest.param(np.array(0.5), id="scalar"),
-        pytest.param(np.array([]), id="empty"),
-        pytest.param(np.full((4, 2), 0.5), id="too-few-rows"),
-        pytest.param(np.full((5, 2, 1), 0.5), id="three-d"),
+    # a common grid or one row per latent, each time finite and nonnegative;
+    # the closed-form survival takes times of any shape, scalars included,
+    # under the same rule for each time
+    @pytest.mark.parametrize("entry, times", [
+        pytest.param(oracle_values, np.array([0.5, np.nan]), id="nan"),
+        pytest.param(oracle_values, np.array([0.5, np.inf]), id="inf"),
+        pytest.param(oracle_values, np.array([-0.5, 1.0]), id="negative"),
+        pytest.param(oracle_values, np.full((5, 2), 0.5) + [0.0, np.inf], id="per-sample-inf"),
+        pytest.param(oracle_values, np.array(0.5), id="scalar"),
+        pytest.param(oracle_values, np.array([]), id="empty"),
+        pytest.param(oracle_values, np.full((4, 2), 0.5), id="too-few-rows"),
+        pytest.param(oracle_values, np.full((5, 2, 1), 0.5), id="three-d"),
+        pytest.param(oracle_survival, [-1.0], id="survival-negative"),
+        pytest.param(oracle_survival, [0.5, np.nan], id="survival-nan"),
+        pytest.param(oracle_survival, np.inf, id="survival-inf"),
     ])
-    def test_rejects(self, times):
+    def test_rejects(self, entry, times):
         _, latents = generate_cohort(WeibullConfig(), 5, seed=12)
         with pytest.raises(ValidationError, match="read times"):
-            oracle_values(latents, times)
+            entry(latents, times)
 
 
 class TestAgainstReferenceOracle:

@@ -46,9 +46,10 @@ moved, to the last bit. Each line is ``<label> <sha256>``. The set:
   to be split by grid times on two or more CPUs; ``edge/bad_inputs/<case>``,
   what each library call with an input outside its rules returns (NaN,
   infinite or non-positive horizons, events outside 1..K, non-finite,
-  negative or scalar oracle read times, a NaN pi-calibration time, a
-  survival-horizon eps outside (0, 1)), and the exit code and stderr of a
-  ``crcal bench`` whose split fractions hold a NaN.
+  negative or scalar oracle read times, non-finite or negative times of the
+  closed-form survival, a NaN pi-calibration time, a survival-horizon eps
+  outside (0, 1)), and the exit code and stderr of a ``crcal bench`` whose
+  split fractions hold a NaN.
 
 A case that raises where a run or call should return is digested as
 ``raised <ExceptionType>``, so one tree's failure shows in the diff without
@@ -374,6 +375,9 @@ def bad_input_outputs(work: Path) -> list[tuple[str, str]]:
         "oracle_values_inf": lambda: synthetic.oracle_values(latents, one_inf),
         "oracle_values_nan": lambda: synthetic.oracle_values(latents, np.append(grid.times, np.nan)),
         "oracle_values_scalar": lambda: synthetic.oracle_values(latents, tau),
+        "oracle_survival_negative": lambda: synthetic.oracle_survival(latents[:3], [-1.0]),
+        "oracle_survival_nan": lambda: synthetic.oracle_survival(latents[:3], [np.nan]),
+        "oracle_survival_inf": lambda: synthetic.oracle_survival(latents[:3], [np.inf]),
         "pi_cal_tau_nan": lambda: calibration.pi_cal_tau(bundle, aj, 1, np.nan),
     }
     for eps in (0.0, 1.0, 2.0, -1.0):
