@@ -47,10 +47,10 @@ DEFAULT_FRACTIONS = (0.4, 0.4, 0.2)
 
 
 def _read(path: str) -> str:
-    """A file's text with its line ends as written, so that the CSV reader
-    sees a CR inside a quoted field."""
+    """A file's UTF-8 text, less a leading BOM, with its line ends as
+    written, so that the CSV reader sees a CR inside a quoted field."""
     try:
-        with open(path, newline="") as f:
+        with open(path, newline="", encoding="utf-8-sig") as f:
             return f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
@@ -59,7 +59,7 @@ def _read(path: str) -> str:
 def _write(path: Path, text: str) -> None:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}") from None
 
@@ -69,44 +69,38 @@ def cmd_simulate(args) -> int:
     cohort, latents = generate_cohort(config, args.n, args.seed)
     grid = oracle_grid(cohort, latents, args.grid_size)
     bundle = oracle_bundle(latents, grid, cohort.ids)
-    out = Path(args.out)
-    _write(out / "cohort.csv", cohort_to_csv(cohort))
-    _write(out / "oracle_bundle.csv", bundle_to_csv(bundle))
-    _write(out / "latents.csv", latents_to_csv(cohort.ids, latents))
-    print(f"wrote cohort ({cohort.n} records), oracle bundle and latents to {out}")
+    _write(args.out / "cohort.csv", cohort_to_csv(cohort))
+    _write(args.out / "oracle_bundle.csv", bundle_to_csv(bundle))
+    _write(args.out / "latents.csv", latents_to_csv(cohort.ids, latents))
+    print(f"wrote cohort ({cohort.n} records), oracle bundle and latents to {args.out}")
     return 0
 
 
 def cmd_aj(args) -> int:
+    if args.replicate_for and args.bundle_out is None:
+        raise ValidationError("--replicate-for requires --bundle-out")
     cohort = parse_cohort(_read(args.cohort), args.k_events)
     curves = aalen_johansen(cohort)
-    out = Path(args.out)
-    _write(out / "km.csv", curves.km.to_csv())
-    _write(out / "censoring.csv", curves.censoring.to_csv())
-    for k in range(1, cohort.k_events + 1):
-        _write(out / f"cif_{k}.csv", curves.cif(k).to_csv())
     if args.replicate_for:
-        if not args.bundle_out:
-            raise ValidationError("--replicate-for requires --bundle-out")
         target = parse_cohort(_read(args.replicate_for), args.k_events)
-        grid = quantile_grid(cohort, args.grid_size)
-        bundle = marginal_bundle(curves, grid, target.ids)
-        _write(Path(args.bundle_out), bundle_to_csv(bundle))
+        bundle = marginal_bundle(curves, quantile_grid(cohort, args.grid_size), target.ids)
+    _write(args.out / "km.csv", curves.km.to_csv())
+    _write(args.out / "censoring.csv", curves.censoring.to_csv())
+    for k in range(1, cohort.k_events + 1):
+        _write(args.out / f"cif_{k}.csv", curves.cif(k).to_csv())
+    if args.replicate_for:
+        _write(args.bundle_out, bundle_to_csv(bundle))
         print(f"wrote replicated bundle for {target.n} samples to {args.bundle_out}")
-    print(f"wrote marginal curves to {out}")
+    print(f"wrote marginal curves to {args.out}")
     return 0
 
 
 def cmd_metrics(args) -> int:
     cohort = parse_cohort(_read(args.cohort), args.k_events)
     bundle = parse_bundle(_read(args.bundle), args.k_events)
-    try:
-        alpha = float(args.alpha)
-    except ValueError:
-        raise ValidationError(f"--alpha must be a number or inf, got {args.alpha!r}") from None
-    params = MetricParams(alpha=alpha, rho_steps=args.rho_steps)
+    params = MetricParams(alpha=args.alpha, rho_steps=args.rho_steps)
     report = calibration_report(bundle, cohort, params, args.level, args.seed)
-    _write(Path(args.out), report.to_json())
+    _write(args.out, report.to_json())
     print(f"d_cal total {report.total_d:.6f} | pi_cal total {report.total_pi:.6f} -> {args.out}")
     return 0
 
@@ -135,23 +129,18 @@ def cmd_recalibrate(args) -> int:
     cal_bundle = parse_bundle(_read(args.cal_bundle), args.k_events)
     test_bundle = parse_bundle(_read(args.test_bundle), args.k_events)
     fitted, recal = _recalibrate(args.method, cal_cohort, cal_bundle, test_bundle, args.grid_size)
-    out = Path(args.out)
-    _write(out / "map.json", json.dumps(fitted, indent=2))
-    _write(out / "recalibrated_bundle.csv", bundle_to_csv(recal))
-    print(f"method {args.method}: {recal.repairs} repaired entries -> {out}")
+    _write(args.out / "map.json", json.dumps(fitted, indent=2))
+    _write(args.out / "recalibrated_bundle.csv", bundle_to_csv(recal))
+    print(f"method {args.method}: {recal.repairs} repaired entries -> {args.out}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
     cohort = parse_cohort(_read(args.cohort), args.k_events)
     bundle = parse_bundle(_read(args.bundle), args.k_events)
-    try:
-        horizons = [float(h) for h in args.horizons.split(",")] if args.horizons else None
-    except ValueError:
-        raise ValidationError(f"--horizons must be comma-separated numbers, got {args.horizons!r}") from None
-    result = evaluate_bundle(cohort, bundle, horizons)
-    _write(Path(args.out), result.to_json())
-    _write(Path(args.out).with_suffix(".mean_incidence.csv"), mean_incidence_csv(bundle))
+    result = evaluate_bundle(cohort, bundle, args.horizons)
+    _write(args.out, result.to_json())
+    _write(args.out.with_suffix(".mean_incidence.csv"), mean_incidence_csv(bundle))
     print(f"ibs {result.ibs:.6f} -> {args.out}")
     return 0
 
@@ -169,12 +158,15 @@ def _bench_settings(text: str) -> dict:
                 raise TypeError(f"{key} must be an integer, got {value!r}")
             return value
 
+        model = config.get("model", "aj")
+        if model not in ("aj", "oracle", "distorted"):
+            raise ValueError(f"unknown model {model!r}")
         scale = config.get("censoring_scale")
         return {
             "n": integer("n"),
             "seed": integer("seed", 0),
             "grid_size": integer("grid_size", DEFAULT_GRID_SIZE),
-            "model": config.get("model", "aj"),
+            "model": model,
             "params": MetricParams(float(config.get("alpha", 2.0)), integer("rho_steps", 100)),
             "level": float(config.get("level", 0.05)),
             "fractions": tuple(float(f) for f in config.get("fractions", DEFAULT_FRACTIONS)),
@@ -185,68 +177,66 @@ def _bench_settings(text: str) -> dict:
 
 
 def _bench_seed(config: dict, seed: int, out_dir: Path) -> dict:
-    """One benchmark replicate: simulate, split, model, score, recalibrate."""
+    """One benchmark replicate: simulate, split, model, score, recalibrate.
+    Returns each variant's metrics in summary order; writes the seed's files
+    only once every variant is scored."""
     grid_size, model = config["grid_size"], config["model"]
     cohort, latents = generate_cohort(config["weibull"], config["n"], seed)
     train, cal, test = split_cohort(cohort, seed, config["fractions"])
 
     if model == "aj":
-        curves = aalen_johansen(train)
-        grid = quantile_grid(train, grid_size)
-        cal_bundle = marginal_bundle(curves, grid, cal.ids)
-        test_bundle = marginal_bundle(curves, grid, test.ids)
-    elif model in ("oracle", "distorted"):
+        curves, grid = aalen_johansen(train), quantile_grid(train, grid_size)
+        cal_bundle, test_bundle = (marginal_bundle(curves, grid, part.ids) for part in (cal, test))
+    else:
         grid = oracle_grid(train, latents, grid_size)
-        cal_bundle = oracle_bundle([latents[int(s) - 1] for s in cal.ids], grid, cal.ids)
-        test_bundle = oracle_bundle([latents[int(s) - 1] for s in test.ids], grid, test.ids)
+        cal_bundle, test_bundle = (
+            oracle_bundle([latents[int(s) - 1] for s in part.ids], grid, part.ids) for part in (cal, test)
+        )
         if model == "distorted":
             cal_bundle = square_distort(cal_bundle)
             test_bundle = square_distort(test_bundle)
-    else:
-        raise ValidationError(f"unknown model {model!r}")
 
-    variants = {"base": test_bundle}
+    variants, files = {"base": test_bundle}, {}
     for method in ("aj", "ts"):
         fitted, variants[method] = _recalibrate(method, cal, cal_bundle, test_bundle, grid_size)
-        _write(out_dir / f"map_{method}.json", json.dumps(fitted, indent=2))
+        files[f"map_{method}.json"] = fitted
 
-    row: dict = {"seed": seed}
+    row = {}
     for name, bundle in variants.items():
         rep = calibration_report(bundle, test, config["params"], config["level"], seed)
         ev = evaluate_bundle(test, bundle)
-        combined = rep.to_dict()
-        combined["evaluation"] = ev.to_dict()
-        _write(out_dir / f"report_{name}.json", json.dumps(combined, indent=2))
+        files[f"report_{name}.json"] = {**rep.to_dict(), "evaluation": ev.to_dict()}
         row[name] = {
             "total_d": rep.total_d,
             "total_pi": rep.total_pi,
-            "d_test_passed": rep.d_overall,
-            "pi_test_passed": rep.pi_overall,
             "ibs": ev.ibs,
             "c_index_mean": float(np.nanmean(list(ev.c_index_mean.values()))),
+            "d_test_passed": rep.d_overall,
+            "pi_test_passed": rep.pi_overall,
         }
-    splits = {
+    files["splits.json"] = {
         "train_ids": list(train.ids),
         "cal_ids": list(cal.ids),
         "test_ids": list(test.ids),
         "disjoint": len(set(train.ids) | set(cal.ids) | set(test.ids)) == cohort.n,
     }
-    _write(out_dir / "splits.json", json.dumps(splits, indent=2))
+    for name, content in files.items():
+        _write(out_dir / name, json.dumps(content, indent=2))
     return row
 
 
 def _aggregate(rows: list[dict]) -> dict:
-    """Mean and standard deviation per variant and metric across seeds."""
-    summary: dict = {"seeds": [r["seed"] for r in rows]}
-    for variant in ("base", "aj", "ts"):
-        block: dict = {}
-        for metric in ("total_d", "total_pi", "ibs", "c_index_mean"):
-            vals = np.array([r[variant][metric] for r in rows], dtype=float)
-            block[metric] = {"mean": float(np.mean(vals)), "std": float(np.std(vals))}
-        for metric in ("d_test_passed", "pi_test_passed"):
-            vals = [bool(r[variant][metric]) for r in rows]
-            block[metric] = {"pass_rate": sum(vals) / len(vals)}
-        summary[variant] = block
+    """Per variant and metric across seeds: the mean and standard deviation,
+    or the pass rate of a test verdict (a bool)."""
+    summary: dict = {}
+    for variant, metrics in rows[0].items():
+        block = summary[variant] = {}
+        for metric, first in metrics.items():
+            vals = [r[variant][metric] for r in rows]
+            if isinstance(first, bool):
+                block[metric] = {"pass_rate": sum(vals) / len(vals)}
+            else:
+                block[metric] = {"mean": float(np.mean(vals)), "std": float(np.std(vals))}
     return summary
 
 
@@ -255,8 +245,8 @@ def _summary_csv(summary: dict) -> str:
         (variant, metric, repr(cell["mean"]), repr(cell["std"]))
         if "mean" in cell
         else (variant, metric, repr(cell["pass_rate"]), "")
-        for variant in ("base", "aj", "ts")
-        for metric, cell in summary[variant].items()
+        for variant, block in summary.items()
+        for metric, cell in block.items()
     )
     return _table(["variant", "metric", "mean", "std"], rows)
 
@@ -265,29 +255,40 @@ def cmd_bench(args) -> int:
     config = _bench_settings(_read(args.config))
     if args.seeds < 1:
         raise ValidationError("--seeds must be at least 1")
-    base_seed = config["seed"]
-    out = Path(args.out)
-    rows = []
-    for i in range(args.seeds):
-        seed = base_seed + i
-        rows.append(_bench_seed(config, seed, out / f"seed_{seed}"))
-    summary = _aggregate(rows)
-    _write(out / "summary.json", json.dumps(summary, indent=2))
-    _write(out / "summary.csv", _summary_csv(summary))
+    seeds = [config["seed"] + i for i in range(args.seeds)]
+    summary = _aggregate([_bench_seed(config, seed, args.out / f"seed_{seed}") for seed in seeds])
+    _write(args.out / "summary.json", json.dumps({"seeds": seeds, **summary}, indent=2))
+    _write(args.out / "summary.csv", _summary_csv(summary))
     base = summary["base"]
     print(
         f"{args.seeds} seeds | base d_cal {base['total_d']['mean']:.4f} "
-        f"pi_cal {base['total_pi']['mean']:.4f} -> {out}"
+        f"pi_cal {base['total_pi']['mean']:.4f} -> {args.out}"
     )
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line raises ValidationError, so that ``main``
+    reports it like any other invalid input: one ``error:`` line, exit 2."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
+def _times(text: str) -> list[float]:
+    """The ``--horizons`` converter: comma-separated numbers, none empty."""
+    try:
+        return [float(t) for t in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated numbers, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="crcal", description=__doc__)
+    parser = _Parser(prog="crcal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     # options that several subcommands share, each declared once
     out, events, grid, scored = (argparse.ArgumentParser(add_help=False) for _ in range(4))
-    out.add_argument("--out", required=True)
+    out.add_argument("--out", type=Path, required=True)
     events.add_argument("--k-events", type=int, default=3)
     grid.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE)
     scored.add_argument("--cohort", required=True)
@@ -303,11 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fit marginal curves, optionally replicate them as a bundle")
     p.add_argument("--cohort", required=True)
     p.add_argument("--replicate-for")
-    p.add_argument("--bundle-out")
+    p.add_argument("--bundle-out", type=Path)
     p.set_defaults(func=cmd_aj)
 
     p = sub.add_parser("metrics", parents=[scored, events, out], help="calibration metrics and tests for a bundle")
-    p.add_argument("--alpha", default="2.0")
+    p.add_argument("--alpha", type=float, default=2.0)
     p.add_argument("--rho-steps", type=int, default=100)
     p.add_argument("--level", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=None)
@@ -322,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_recalibrate)
 
     p = sub.add_parser("evaluate", parents=[scored, events, out], help="C-index, Brier and IBS for a bundle")
-    p.add_argument("--horizons", default=None, help="comma-separated times")
+    p.add_argument("--horizons", type=_times, default=None, help="comma-separated times")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("bench", parents=[out], help="seeded end-to-end benchmark from a JSON config")
@@ -333,9 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

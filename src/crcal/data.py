@@ -138,7 +138,8 @@ def step_values(grid_times: np.ndarray, values: np.ndarray, t, before: float = 0
     lie outermost in memory, which fixes the summation order of a sample mean."""
     idx = step_indices(grid_times, t)
     out = values[..., np.maximum(idx, 0).ravel()].reshape(values.shape[:-1] + idx.shape)
-    np.copyto(out, before, where=idx < 0)
+    if np.any(idx < 0):
+        np.copyto(out, before, where=idx < 0)
     return out
 
 

@@ -170,10 +170,7 @@ def _normalized_vectors(bundle: CifBundle, taus: np.ndarray) -> np.ndarray:
     preds = np.ascontiguousarray(bundle.values_at(taus).transpose(1, 0, 2))
     surv = np.clip(1.0 - preds.sum(axis=0), 0.0, None)
     p = np.concatenate([surv[None], preds])
-    totals = p.sum(axis=0)
-    if np.any(totals <= 0.0):
-        raise ValidationError("all-zero probability vector for some sample and time")
-    return p / totals
+    return p / p.sum(axis=0)
 
 
 def _power_scale(log_p: np.ndarray, top: np.ndarray, beta, z=None, totals=None) -> np.ndarray:

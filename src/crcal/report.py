@@ -68,7 +68,7 @@ def _tests_dict(tests: dict[int, TestResult], overall: bool, level: float) -> di
         out[str(k)] = entry
     out["overall_passed"] = overall
     # both correction rules are reported; `passed` uses level / K
-    out["threshold_bonferroni"] = level / k_events if k_events else level
+    out["threshold_bonferroni"] = level / k_events
     out["threshold_times_k"] = min(1.0, level * k_events)
     out["overall_passed_times_k_rule"] = all(
         r.p_value >= min(1.0, level * k_events) for r in tests.values() if r.testable

@@ -164,7 +164,6 @@ def _cum_hazard(lams: np.ndarray, shapes: np.ndarray, s: np.ndarray) -> np.ndarr
 def _hazard_inverse(lams: np.ndarray, shapes: np.ndarray, target: float, hi: np.ndarray) -> np.ndarray:
     """Solve H(s) = target per sample by bisection on [0, hi]."""
     lo = np.zeros_like(hi)
-    hi = hi.copy()
     for _ in range(70):
         mid = 0.5 * (lo + hi)
         over = _cum_hazard(lams, shapes, mid) > target

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -188,10 +189,14 @@ class TestIntervalBucket:
         assert interval_bucket(bundle, cohort, 1, 0.0, 1.0) == pytest.approx(1.0)
         assert interval_bucket(bundle, cohort, 2, 0.0, 1.0) == pytest.approx(1.0 / 0.8)
 
-    def test_degenerate_interval_rejected(self):
+    @pytest.mark.parametrize("call, message", [
+        (lambda bundle, cohort: interval_bucket(bundle, cohort, 1, 0.5, 0.5), "need 0 <= a < b <= 1"),
+        (lambda bundle, cohort: bucket_mass(bundle, cohort, 1, 1.5), "rho must lie in [0, 1]"),
+    ])
+    def test_bad_interval_rejected(self, call, message):
         cohort, bundle = two_sample_toy()
-        with pytest.raises(ValidationError):
-            interval_bucket(bundle, cohort, 1, 0.5, 0.5)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            call(bundle, cohort)
 
 
 class TestCrDHat:
@@ -217,9 +222,13 @@ class TestCrDHat:
         per, _ = cr_d_hat(bundle, cohort, MetricParams(alpha=INFINITY, rho_steps=100))
         assert per[1] == pytest.approx(0.75)
 
-    def test_alpha_one_rejected(self):
-        with pytest.raises(ValidationError):
-            MetricParams(alpha=1.0)
+    @pytest.mark.parametrize("fields, message", [
+        ({"alpha": 1.0}, "alpha must exceed 1 (or be INFINITY)"),
+        ({"rho_steps": 9}, "rho_steps must be at least 10"),
+    ])
+    def test_bad_params_rejected(self, fields, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            MetricParams(**fields)
 
     def test_scaling_one_event_keeps_ratios(self):
         # downscaling one event's CIF (survival absorbing the rest) leaves
@@ -297,11 +306,15 @@ class TestPiCal:
         per, total = pi_cal_alpha(bundle, curves, MetricParams(), grid)
         assert total == pytest.approx(0.0, abs=1e-12)
 
-    def test_nan_tau_rejected(self):
-        # the step lookup would sort NaN past the last grid time
+    # the step lookup would sort NaN past the last grid time
+    @pytest.mark.parametrize("tau, message", [
+        (float("nan"), "tau must not be NaN"),
+        (99.0, "tau is beyond both the bundle grid and the marginal support"),
+    ])
+    def test_bad_tau_rejected(self, tau, message):
         cohort, curves, grid, bundle = self._aj_setup()
-        with pytest.raises(ValidationError, match="NaN"):
-            pi_cal_tau(bundle, curves, 1, float("nan"))
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            pi_cal_tau(bundle, curves, 1, tau)
 
     def test_before_first_jump(self):
         cohort, curves, grid, bundle = self._aj_setup()

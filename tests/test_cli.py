@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crcal.cli import build_parser, main
+from crcal import cli
+from crcal.cli import _times, build_parser, main
 from crcal.data import CifBundle, TimeGrid, bundle_to_csv, parse_bundle, parse_cohort
 
 
@@ -82,6 +83,24 @@ class TestSimulateAndMetrics:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["metrics", "--rho-steps", "abc"], "argument --rho-steps: invalid int value: 'abc'"),
+        (["simulate", "--n", "x"], "argument --n: invalid int value: 'x'"),
+        (["simulate", "--n", "5", "--seed", "1"], "the following arguments are required: --out"),
+        (["nope"], "argument command: invalid choice: 'nope'"),
+    ])
+    def test_malformed_command_line_is_one_error_line(self, capsys, argv, message):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["metrics", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: crcal metrics")
+
     def test_numeric_error_exit_code(self, tmp_path):
         # a censored record whose predicted survival is below the floor
         (tmp_path / "cohort.csv").write_text("id,time,event\n1,1.0,0\n2,2.0,1\n")
@@ -103,19 +122,19 @@ class TestSimulateAndMetrics:
 
 
 class TestLineEnds:
-    def test_crlf_files_give_the_lf_report(self, tmp_path):
+    def test_crlf_and_bom_files_give_the_lf_report(self, tmp_path):
         run(["simulate", "--n", 150, "--seed", 4, "--out", tmp_path, "--grid-size", 8])
         reports = []
-        for name, line_end in (("lf", "\n"), ("crlf", "\r\n")):
+        for name, head, line_end in (("lf", b"", b"\n"), ("crlf", b"", b"\r\n"), ("bom", b"\xef\xbb\xbf", b"\n")):
             paths = []
             for csv_name in ("cohort.csv", "oracle_bundle.csv"):
                 path = tmp_path / f"{name}_{csv_name}"
-                path.write_bytes((tmp_path / csv_name).read_bytes().replace(b"\n", line_end.encode()))
+                path.write_bytes(head + (tmp_path / csv_name).read_bytes().replace(b"\n", line_end))
                 paths.append(path)
             out = tmp_path / f"{name}.json"
             assert run(["metrics", "--cohort", paths[0], "--bundle", paths[1], "--out", out]) == 0
             reports.append(out.read_bytes())
-        assert reports[0] == reports[1]
+        assert reports[0] == reports[1] == reports[2]
 
     def test_cr_in_a_quoted_id_survives_replication(self, tmp_path):
         (tmp_path / "cohort.csv").write_bytes(b'id,time,event\n"a\rb",1.0,1\nc,2.0,0\nd,3.0,1\n')
@@ -151,6 +170,18 @@ class TestAjCommand:
         assert (tmp_path / "curves" / "cif_3.csv").exists()
         assert (tmp_path / "curves" / "censoring.csv").exists()
         assert (tmp_path / "aj_bundle.csv").exists()
+
+    @pytest.mark.parametrize("target, more, message", [
+        ("cohort.csv", [], "error: --replicate-for requires --bundle-out\n"),
+        ("missing.csv", ["--bundle-out", "bundle.csv"], "error: cannot read missing.csv: "),
+    ])
+    def test_a_failing_replication_writes_nothing(self, tmp_path, monkeypatch, capsys, target, more, message):
+        monkeypatch.chdir(tmp_path)
+        Path("cohort.csv").write_text("id,time,event\na,1.0,1\nb,2.0,0\nc,3.0,1\n")
+        code = run(["aj", "--cohort", "cohort.csv", "--out", "curves", "--k-events", 1, "--replicate-for", target, *more])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert [p.name for p in tmp_path.iterdir()] == ["cohort.csv"]
 
     def test_uncensored_single_event_cohort(self, tmp_path):
         # float accumulation alone takes this AJ curve to 1.0000000000000002
@@ -282,7 +313,7 @@ class TestRecalibrateAndEvaluate:
         assert set(ev) == {"c_index", "c_index_mean", "brier", "ibs"}
         assert (tmp_path / "eval.mean_incidence.csv").exists()
 
-    @pytest.mark.parametrize("horizons", ["abc", "1.0,", "nan", "inf", "-1", "0", "0.5,nan"])
+    @pytest.mark.parametrize("horizons", ["abc", "1.0,", "", "nan", "inf", "-1", "0", "0.5,nan"])
     def test_evaluate_rejects_bad_horizons(self, tmp_path, capsys, horizons):
         self._setup(tmp_path)
         code = run(
@@ -319,6 +350,7 @@ class TestRecalibrateAndEvaluate:
             (["bench", "--seeds", 1], '{"n": 300, "rho_steps": 10.5, "model": "oracle"}'),
             (["bench", "--seeds", 1], '{"n": 300, "fractions": [NaN, 0.5, 0.5]}'),
             (["bench", "--seeds", 1], '{"n": 300, "model": "nope"}'),
+            (["bench", "--seeds", 1], '{"n": 300, "level": 2}'),
         ],
     )
     def test_malformed_input_exits_two(self, tmp_path, capsys, command, config):
@@ -330,7 +362,8 @@ class TestRecalibrateAndEvaluate:
             paths = ["--config", tmp_path / "bench.json"]
         capsys.readouterr()
         assert run(command + paths + ["--out", tmp_path / "out"]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
 
@@ -341,27 +374,27 @@ class TestParser:
         "simulate": {
             "--n": (int, None, True),
             "--seed": (int, None, True),
-            "--out": (None, None, True),
+            "--out": (Path, None, True),
             "--grid-size": (int, 64, False),
             "--censoring-scale": (float, None, False),
         },
         "aj": {
             "--cohort": (None, None, True),
-            "--out": (None, None, True),
+            "--out": (Path, None, True),
             "--k-events": (int, 3, False),
             "--grid-size": (int, 64, False),
             "--replicate-for": (None, None, False),
-            "--bundle-out": (None, None, False),
+            "--bundle-out": (Path, None, False),
         },
         "metrics": {
             "--cohort": (None, None, True),
             "--bundle": (None, None, True),
             "--k-events": (int, 3, False),
-            "--alpha": (None, "2.0", False),
+            "--alpha": (float, 2.0, False),
             "--rho-steps": (int, 100, False),
             "--level": (float, 0.05, False),
             "--seed": (int, None, False),
-            "--out": (None, None, True),
+            "--out": (Path, None, True),
         },
         "recalibrate": {
             "--method": (None, None, True),
@@ -370,19 +403,19 @@ class TestParser:
             "--test-bundle": (None, None, True),
             "--k-events": (int, 3, False),
             "--grid-size": (int, 64, False),
-            "--out": (None, None, True),
+            "--out": (Path, None, True),
         },
         "evaluate": {
             "--cohort": (None, None, True),
             "--bundle": (None, None, True),
             "--k-events": (int, 3, False),
-            "--horizons": (None, None, False),
-            "--out": (None, None, True),
+            "--horizons": (_times, None, False),
+            "--out": (Path, None, True),
         },
         "bench": {
             "--config": (None, None, True),
             "--seeds": (int, None, True),
-            "--out": (None, None, True),
+            "--out": (Path, None, True),
         },
     }
 
@@ -431,6 +464,15 @@ class TestBench:
             assert run(["bench", "--config", tmp_path / f"{name}.json", "--seeds", 1, "--out", tmp_path / name]) == 0
         for f in ("summary.json", "seed_1/report_base.json", "seed_1/map_ts.json"):
             assert (tmp_path / "bench" / f).read_bytes() == (tmp_path / "aj" / f).read_bytes()
+
+    def test_unknown_model_fails_before_simulating(self, tmp_path, capsys, monkeypatch):
+        def simulate(*args):
+            raise AssertionError("generate_cohort ran")
+
+        monkeypatch.setattr(cli, "generate_cohort", simulate)
+        (tmp_path / "bench.json").write_text('{"n": 300, "model": "nope"}')
+        assert run(["bench", "--config", tmp_path / "bench.json", "--seeds", 1, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == "error: malformed bench config (ValueError: unknown model 'nope')\n"
 
     def test_bench_deterministic(self, tmp_path):
         cfg = self._config(tmp_path, n=300)

@@ -214,9 +214,13 @@ class TestStepCurve:
         assert lines[1].startswith("0,")
         assert len(lines) == 4
 
-    def test_curve_without_jumps_rejected(self):
-        with pytest.raises(ValidationError, match="non-empty"):
-            StepCurve(np.array([]), np.array([]), 1.0)
+    @pytest.mark.parametrize("jump_times, message", [
+        ([], "jump_times and values must be aligned, non-empty 1-D arrays"),
+        ([2.0, 1.0], "jump times must be strictly increasing"),
+    ])
+    def test_bad_jumps_rejected(self, jump_times, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            StepCurve(np.array(jump_times), np.full(len(jump_times), 0.5), 1.0)
 
 
 class TestMarginalBundle:

@@ -389,6 +389,36 @@ class TestPlainPath:
         assert _peak_bytes(parse_bundle, text, 3) < 2 * len(text)
 
 
+class TestRecordChecks:
+    # each case breaks one rule of a constructor whose other inputs are valid
+    @pytest.mark.parametrize("fields, message", [
+        ({"k_events": 0}, "k_events must be a positive integer"),
+        ({"events": [[1, 0]]}, "times and events must be 1-D and aligned"),
+        ({"ids": ("a",)}, "ids must align with records"),
+        ({"times": [1.0, np.nan]}, "non-finite time"),
+        ({"times": [1.0, -1.0]}, "negative time"),
+        ({"events": [1, 2]}, "event label out of range 0..K"),
+        ({"covariates": [[0.5]]}, "covariate row count must equal record count"),
+    ])
+    def test_cohort_messages(self, fields, message):
+        valid = {"ids": ("a", "b"), "times": [1.0, 2.0], "events": [1, 0], "k_events": 1}
+        with pytest.raises(ValidationError) as exc:
+            Cohort(**{**valid, **fields})
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("times, message", [
+        ([], "grid needs at least one time"),
+        ([[1.0, 2.0]], "grid needs at least one time"),
+        ([1.0, np.inf], "grid times must be finite"),
+        ([0.0, 1.0], "grid times must be positive"),
+        ([1.0, 1.0], "grid times must be strictly increasing"),
+    ])
+    def test_grid_messages(self, times, message):
+        with pytest.raises(ValidationError) as exc:
+            TimeGrid(np.array(times))
+        assert str(exc.value) == message
+
+
 class TestParseCohort:
     def test_basic_parse(self):
         cohort = parse_cohort("id,time,event\n1,1.0,1\n2,2.0,0\n", k_events=2)
@@ -434,9 +464,15 @@ class TestParseCohort:
         with pytest.raises(ValidationError, match="duplicate id"):
             parse_cohort("id,time,event\n1,1.0,1\n1,2.0,0\n", k_events=1)
 
-    def test_non_numeric_rejected(self):
-        with pytest.raises(ValidationError, match="non-numeric"):
-            parse_cohort("id,time,event\n1,abc,1\n", k_events=1)
+    @pytest.mark.parametrize("text, message", [
+        ("id,time,event\n1,abc,1\n", "row 2: non-numeric time 'abc'"),
+        ("id,time,event\n1,1.0,x\n", "row 2: non-numeric event 'x'"),
+        ("id,time,event,x1\n1,1.0,1,y\n", "row 2: non-numeric covariate"),
+    ])
+    def test_non_numeric_rejected(self, text, message):
+        with pytest.raises(ValidationError) as exc:
+            parse_cohort(text, k_events=1)
+        assert str(exc.value) == message
 
     def test_round_trip(self):
         rng = np.random.default_rng(0)
@@ -522,6 +558,18 @@ class TestBundleChecks:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             CifBundle(TimeGrid(np.arange(1.0, 5.0)), values, ("a", "b", "c"))
 
+    @pytest.mark.parametrize("shape, ids, message", [
+        ((1, 2), ("a",), "bundle values must have shape (n, K, d)"),
+        ((0, 1, 2), (), "bundle must contain samples and events"),
+        ((1, 0, 2), ("a",), "bundle must contain samples and events"),
+        ((1, 1, 3), ("a",), "bundle values do not match grid length"),
+        ((1, 1, 2), ("a", "b"), "sample_ids must align with values"),
+    ])
+    def test_shape_messages(self, shape, ids, message):
+        with pytest.raises(ValidationError) as exc:
+            CifBundle(TimeGrid(np.array([1.0, 2.0])), np.full(shape, 0.2), ids)
+        assert str(exc.value) == message
+
     def test_memory_peak(self):
         # the checks make no temporary near the size of the values
         rng = np.random.default_rng(2)
@@ -566,6 +614,8 @@ class TestBundleEvaluation:
     def test_values_at_own_times(self):
         assert self.bundle.values_at_own_times(np.array([2.5])).tolist() == [[0.2, 0.1]]
         assert self.bundle.values_at_own_times(np.array([0.5])).tolist() == [[0.0, 0.0]]
+        with pytest.raises(ValidationError, match="^per-sample times must align with bundle samples$"):
+            self.bundle.values_at_own_times(np.array([0.5, 2.5]))
 
 
 def where_step_values(grid_times, values, t, before=0.0):
@@ -616,9 +666,13 @@ class TestSplitCohort:
         for a, b in zip(parts, again):
             assert a.ids == b.ids
 
-    def test_bad_fractions(self):
-        with pytest.raises(ValidationError):
-            split_cohort(self._cohort(10), seed=0, fractions=(0.5, 0.5, 0.1))
+    @pytest.mark.parametrize("n, fractions, message", [
+        (10, (0.5, 0.5, 0.1), "fractions must sum to 1"),
+        (0, (0.4, 0.4, 0.2), "cannot split an empty cohort"),
+    ])
+    def test_bad_inputs_rejected(self, n, fractions, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            split_cohort(self._cohort(n), seed=0, fractions=fractions)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed must be nonnegative"):
@@ -665,9 +719,14 @@ class TestQuantileGrid:
         grid = quantile_grid(self._cohort(np.arange(1, 101)), d=4)
         assert grid.times.tolist() == [25.0, 50.0, 75.0, 100.0]
 
-    def test_degenerate_rejected(self):
-        with pytest.raises(ValidationError, match="degenerate"):
-            quantile_grid(self._cohort([5.0] * 8), d=4)
+    @pytest.mark.parametrize("times, d, message", [
+        ([5.0] * 8, 4, "degenerate duration distribution: grid collapses to one point"),
+        ([], 4, "cohort is empty"),
+        ([1.0, 2.0], 1, "grid size d must be at least 2"),
+    ])
+    def test_bad_inputs_rejected(self, times, d, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            quantile_grid(self._cohort(times), d=d)
 
     @pytest.mark.parametrize("n", [7, 50, 333])
     def test_matches_the_uncapped_rule(self, n):

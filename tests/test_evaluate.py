@@ -263,6 +263,9 @@ class TestBrier:
         assert float(g.at(2.5)) == 0.0
         with pytest.raises(NumericError):
             brier_score(cohort, bundle, 1, 2.5, g)
+        # the last record is censored, so G is 0 at the bundle's only time
+        with pytest.raises(NumericError, match="^no grid time lies inside the IPCW-valid horizon$"):
+            evaluate_bundle(cohort, bundle)
 
 
 class TestIntegratedBrier:

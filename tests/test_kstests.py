@@ -10,7 +10,7 @@ from crcal.calibration import INFINITY, MetricParams, cr_d_hat
 from crcal.curves import aalen_johansen, marginal_bundle
 from crcal.data import quantile_grid
 from crcal.errors import ValidationError
-from crcal.kstests import d_cal_test, kolmogorov_p, ks_uniform, pi_cal_test
+from crcal.kstests import d_cal_test, d_cal_verdicts, kolmogorov_p, ks_uniform, pi_cal_test
 from crcal.report import calibration_report
 
 
@@ -55,6 +55,10 @@ class TestKsUniform:
             ks_uniform([0.2, math.nan, 0.7])
         with pytest.raises(ValidationError):
             kolmogorov_p(math.nan)
+        cohort = make_cohort([1.0, 2.0], [1, 0], k=1)
+        for level in (0.0, 1.0, math.nan):
+            with pytest.raises(ValidationError, match=r"^level must lie in \(0, 1\)$"):
+                d_cal_verdicts(np.zeros((1, 10)), cohort, level)
 
     def test_null_rejection_rate(self):
         # light version of the null calibration check (full one is in the

@@ -160,6 +160,13 @@ def temperature_cases(draw):
 
 
 class TestFitOffsets:
+    @pytest.mark.parametrize("fit", [fit_aj_offsets, fit_temperature])
+    def test_grid_past_the_bundle_horizon_rejected(self, fit):
+        cohort, _, grid, bundle = aj_replicated_case()
+        far = TimeGrid(np.append(grid.times, 2 * grid.t_max))
+        with pytest.raises(ValidationError, match="^recalibration grid extends past the calibration bundle horizon$"):
+            fit(cohort, bundle, far)
+
     def test_self_match_gives_zero_offsets(self):
         cohort, curves, grid, bundle = aj_replicated_case()
         rmap = fit_aj_offsets(cohort, bundle, grid)
@@ -207,12 +214,16 @@ class TestApplyOffsets:
         assert out.values[0, 0, 0] == 1.0
         assert out.repairs >= 1
 
-    def test_method_mismatch(self):
-        grid = TimeGrid(np.array([1.0]))
-        rmap = RecalibrationMap(TEMPERATURE, grid, temperatures=np.array([1.0]))
+    @pytest.mark.parametrize("apply, method, fields, message", [
+        (apply_offsets, TEMPERATURE, {"temperatures": np.array([1.0])}, "map method mismatch: expected additive offsets"),
+        (apply_offsets, AJ_OFFSET, {"offsets": np.zeros((3, 1))}, "offset rows do not match the bundle events"),
+        (apply_temperature, AJ_OFFSET, {"offsets": np.zeros((2, 1))}, "map method mismatch: expected temperatures"),
+    ])
+    def test_map_mismatch(self, apply, method, fields, message):
+        rmap = RecalibrationMap(method, TimeGrid(np.array([1.0])), **fields)
         bundle = make_bundle([1.0], np.array([[[0.4]]]))
-        with pytest.raises(ValidationError):
-            apply_offsets(bundle, rmap)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            apply(bundle, rmap)
 
     def test_marginal_match_after_recalibration(self):
         # with zero clipping the recalibrated calibration-set mean equals
@@ -474,11 +485,19 @@ class TestEventLeftAtZero:
 
 
 class TestRecalibrationMap:
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
-    def test_rejects_non_finite_or_non_positive_temperatures(self, bad):
+    @pytest.mark.parametrize("method, fields, message", [
+        *((TEMPERATURE, {"temperatures": np.array([1.0, bad])}, "temperatures must be finite and positive")
+          for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0)),
+        ("platt", {}, "unknown recalibration method 'platt'"),
+        (AJ_OFFSET, {}, "offsets must align with the grid"),
+        (AJ_OFFSET, {"offsets": np.zeros((2, 3))}, "offsets must align with the grid"),
+        (AJ_OFFSET, {"offsets": np.array([[0.0, np.nan], [0.0, 0.0]])}, "offsets must be finite"),
+        (TEMPERATURE, {"temperatures": np.ones(3)}, "temperatures must align with the grid"),
+    ])
+    def test_rejects(self, method, fields, message):
         grid = TimeGrid(np.array([1.0, 2.0]))
-        with pytest.raises(ValidationError, match="temperatures"):
-            RecalibrationMap(TEMPERATURE, grid, temperatures=np.array([1.0, bad]))
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            RecalibrationMap(method, grid, **fields)
 
 
 class TestUpperPredictiveBound:

@@ -254,14 +254,25 @@ class TestGenerate:
         frac = (cohort.events == 0).mean()
         assert 0.2 < frac < 0.7
 
-    def test_negative_seed_rejected(self):
-        with pytest.raises(ValidationError, match="seed must be nonnegative"):
-            generate_cohort(WeibullConfig(), 10, seed=-1)
+    @pytest.mark.parametrize("n, seed, message", [
+        (10, -1, "seed must be nonnegative"),
+        (0, 1, "n must be at least 1"),
+    ])
+    def test_bad_size_or_seed_rejected(self, n, seed, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            generate_cohort(WeibullConfig(), n, seed=seed)
 
-    @pytest.mark.parametrize("scale", [float("nan"), 0.0, -1.0])
-    def test_censoring_scale_must_be_positive(self, scale):
-        with pytest.raises(ValidationError, match="censoring scale must be positive"):
-            WeibullConfig(censoring_scale=scale)
+    @pytest.mark.parametrize("fields, message", [
+        *(({"censoring_scale": scale}, "censoring scale must be positive") for scale in (float("nan"), 0.0, -1.0)),
+        ({"scale_ranges": ((0.4, 0.9),)}, "scale and shape ranges must align per event"),
+        ({"scale_ranges": (), "shape_ranges": ()}, "scale and shape ranges must align per event"),
+        ({"scale_ranges": ((0.4, 0.9), (0.0, 1.0), (1.2, 3.0))}, "scale ranges must be positive and ordered"),
+        ({"scale_ranges": ((0.9, 0.4), (1.0, 1.0), (1.2, 3.0))}, "scale ranges must be positive and ordered"),
+        ({"shape_ranges": ((1.0, 20.0), (0.5, 10.0), (1.5, 5.0))}, "shape ranges must be >= 1 and ordered"),
+    ])
+    def test_config_rejected(self, fields, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            WeibullConfig(**fields)
 
     def test_covariates_skip_constant_parameters(self):
         cohort, _ = generate_cohort(WeibullConfig(), 50, seed=6)
@@ -468,3 +479,12 @@ class TestDistortAndCsv:
         assert len(lines) == 4
         parts = lines[1].split(",")
         assert float(parts[7]) == latents[0].true_time
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda latents: latents_to_csv(["1", "2"], latents), "ids must align with latent records"),
+        (lambda latents: oracle_bundle(latents[:0], TimeGrid(np.array([1.0]))), "no latent records"),
+    ])
+    def test_rejects_misaligned_or_missing_latents(self, call, message):
+        _, latents = generate_cohort(WeibullConfig(), 3, seed=13)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            call(latents)

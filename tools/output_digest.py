@@ -49,7 +49,14 @@ moved, to the last bit. Each line is ``<label> <sha256>``. The set:
   negative or scalar oracle read times, non-finite or negative times of the
   closed-form survival, a NaN pi-calibration time, a survival-horizon eps
   outside (0, 1)), and the exit code and stderr of a ``crcal bench`` whose
-  split fractions hold a NaN.
+  split fractions hold a NaN;
+- ``edge/cli/<case>``: the exit code, stderr and every file left in the
+  run's own directory, for malformed command lines (a non-numeric
+  ``--rho-steps``, ``--n`` or ``--alpha``, a missing ``--out``, an unknown
+  subcommand, ``--horizons`` of ``1.0,`` or the empty string), runs that
+  fail after some work (``aj --replicate-for`` without ``--bundle-out``, a
+  bench whose test level is 2, a bench of an unknown model), and
+  ``crcal metrics`` on a cohort and a bundle that start with a UTF-8 BOM.
 
 A case that raises where a run or call should return is digested as
 ``raised <ExceptionType>``, so one tree's failure shows in the diff without
@@ -194,7 +201,7 @@ def _exit(work: Path, *argv) -> str:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as stderr:
         try:
             rc = cli.main([str(a) for a in argv])
-        except Exception as exc:
+        except (Exception, SystemExit) as exc:
             return f"raised {type(exc).__name__}"
     return f"{rc} {stderr.getvalue()}".replace(str(work), "<work>")
 
@@ -334,7 +341,7 @@ def edge_outputs(work: Path) -> list[tuple[str, str]]:
     except Exception as exc:
         digest = f"raised {type(exc).__name__}"
     out.append(("edge/ts_split", digest))
-    return out + bad_input_outputs(work)
+    return out + bad_input_outputs(work) + cli_edge_outputs(work)
 
 
 def _outcome(call) -> str:
@@ -388,6 +395,41 @@ def bad_input_outputs(work: Path) -> list[tuple[str, str]]:
     config.write_text('{"n": 300, "fractions": [NaN, 0.5, 0.5]}')
     result = _exit(work, "bench", "--config", config, "--seeds", "1", "--out", work / "nan_fractions")
     out.append(("edge/bad_inputs/bench_nan_fractions", _sha(result)))
+    return out
+
+
+def cli_edge_outputs(work: Path) -> list[tuple[str, str]]:
+    cohort = _write_csv(work / "cli_cohort.csv", COHORT)
+    bundle = _write_csv(work / "cli_bundle.csv", BUNDLE)
+    for name, lines in (("bom_cohort", COHORT), ("bom_bundle", BUNDLE)):
+        (work / f"{name}.csv").write_bytes(b"\xef\xbb\xbf" + "".join(line + "\n" for line in lines).encode())
+    configs = {"bench_level_two": {"n": 300, "level": 2}, "bench_unknown_model": {"n": 300, "model": "nope"}}
+    for name, config in configs.items():
+        (work / f"{name}.json").write_text(json.dumps(config))
+    scored = ("--k-events", "1", "--cohort", cohort, "--bundle", bundle)
+    runs = {  # "out" and "out.json" name paths in the run's own directory
+        "metrics_rho_steps_abc": ("metrics", *scored, "--rho-steps", "abc", "--out", "out.json"),
+        "metrics_alpha_abc": ("metrics", *scored, "--alpha", "abc", "--out", "out.json"),
+        "simulate_n_x": ("simulate", "--n", "x", "--seed", "1", "--out", "out"),
+        "simulate_missing_out": ("simulate", "--n", "20", "--seed", "1"),
+        "unknown_subcommand": ("nope", "--out", "out"),
+        "evaluate_horizons_trailing_comma": ("evaluate", *scored, "--horizons", "1.0,", "--out", "out.json"),
+        "evaluate_horizons_empty": ("evaluate", *scored, "--horizons", "", "--out", "out.json"),
+        "aj_replicate_without_bundle_out": ("aj", "--k-events", "1", "--cohort", cohort, "--out", "out",
+                                            "--replicate-for", cohort),
+        "bench_level_two": ("bench", "--config", work / "bench_level_two.json", "--seeds", "1", "--out", "out"),
+        "bench_unknown_model": ("bench", "--config", work / "bench_unknown_model.json", "--seeds", "1",
+                                "--out", "out"),
+        "metrics_bom_files": ("metrics", "--k-events", "1", "--cohort", work / "bom_cohort.csv",
+                              "--bundle", work / "bom_bundle.csv", "--out", "out.json"),
+    }
+    out = []
+    for name, argv in runs.items():
+        case = work / "cli" / name
+        case.mkdir(parents=True)
+        result = _exit(work, *(case / a if a in ("out", "out.json") else a for a in argv))
+        left = "".join(f"{label} {digest}\n" for label, digest in _tree(name, case))
+        out.append((f"edge/cli/{name}", _sha(result + left)))
     return out
 
 
