@@ -9,7 +9,10 @@ numeric domain error.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -33,14 +36,7 @@ from .errors import CrcalError, NumericError, ValidationError
 from .evaluate import evaluate_bundle, mean_incidence_csv
 from .recalibrate import RecalibratedBundle, apply_offsets, apply_temperature, fit_aj_offsets, fit_temperature
 from .report import calibration_report
-from .synthetic import (
-    WeibullConfig,
-    generate_cohort,
-    latents_to_csv,
-    oracle_bundle,
-    oracle_grid,
-    square_distort,
-)
+from .synthetic import WeibullConfig, generate_cohort, latents_to_csv, oracle_bundle, oracle_grid, square_distort
 
 DEFAULT_GRID_SIZE = 64
 DEFAULT_FRACTIONS = (0.4, 0.4, 0.2)
@@ -56,53 +52,65 @@ def _read(path: str) -> str:
         raise ValidationError(f"cannot read {path}: {exc}") from None
 
 
-def _write(path: Path, text: str) -> None:
+def _write_all(files: dict[Path, str]) -> None:
+    """Write every file as UTF-8, or none: stage each as ``<name>.part`` beside its target, rename
+    them into place once all are written, and on a failure remove what was staged or made."""
+    staged, made = [], []
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        for path in files:  # Path("") is "."; a rename would replace a device or a pipe
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+            if path.exists() and not path.is_file():
+                raise OSError("not a regular file")
+        for path, text in files.items():
+            made += [d for d in path.parents if not d.exists()][-1:]  # the outermost one this run makes
+            path.parent.mkdir(parents=True, exist_ok=True)
+            staged.append(part := path.with_name(path.name + ".part"))
+            part.write_text(text, encoding="utf-8")
+        for part, path in zip(staged, files):
+            part.replace(path)
     except OSError as exc:
+        for part in staged:
+            part.unlink(missing_ok=True)
+        for d in made:
+            shutil.rmtree(d, ignore_errors=True)
         raise ValidationError(f"cannot write {path}: {exc}") from None
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[dict[Path, str], str]:
     config = WeibullConfig(censoring_scale=args.censoring_scale)
     cohort, latents = generate_cohort(config, args.n, args.seed)
     grid = oracle_grid(cohort, latents, args.grid_size)
     bundle = oracle_bundle(latents, grid, cohort.ids)
-    _write(args.out / "cohort.csv", cohort_to_csv(cohort))
-    _write(args.out / "oracle_bundle.csv", bundle_to_csv(bundle))
-    _write(args.out / "latents.csv", latents_to_csv(cohort.ids, latents))
-    print(f"wrote cohort ({cohort.n} records), oracle bundle and latents to {args.out}")
-    return 0
+    files = {args.out / "cohort.csv": cohort_to_csv(cohort), args.out / "oracle_bundle.csv": bundle_to_csv(bundle),
+             args.out / "latents.csv": latents_to_csv(cohort.ids, latents)}
+    return files, f"wrote cohort ({cohort.n} records), oracle bundle and latents to {args.out}"
 
 
-def cmd_aj(args) -> int:
+def cmd_aj(args) -> tuple[dict[Path, str], str]:
     if args.replicate_for and args.bundle_out is None:
         raise ValidationError("--replicate-for requires --bundle-out")
     cohort = parse_cohort(_read(args.cohort), args.k_events)
     curves = aalen_johansen(cohort)
+    files = {args.out / "km.csv": curves.km.to_csv(), args.out / "censoring.csv": curves.censoring.to_csv()}
+    for k in range(1, cohort.k_events + 1):
+        files[args.out / f"cif_{k}.csv"] = curves.cif(k).to_csv()
+    message = f"wrote marginal curves to {args.out}"
     if args.replicate_for:
         target = parse_cohort(_read(args.replicate_for), args.k_events)
         bundle = marginal_bundle(curves, quantile_grid(cohort, args.grid_size), target.ids)
-    _write(args.out / "km.csv", curves.km.to_csv())
-    _write(args.out / "censoring.csv", curves.censoring.to_csv())
-    for k in range(1, cohort.k_events + 1):
-        _write(args.out / f"cif_{k}.csv", curves.cif(k).to_csv())
-    if args.replicate_for:
-        _write(args.bundle_out, bundle_to_csv(bundle))
-        print(f"wrote replicated bundle for {target.n} samples to {args.bundle_out}")
-    print(f"wrote marginal curves to {args.out}")
-    return 0
+        files[args.bundle_out] = bundle_to_csv(bundle)
+        message = f"wrote replicated bundle for {target.n} samples to {args.bundle_out}\n{message}"
+    return files, message
 
 
-def cmd_metrics(args) -> int:
+def cmd_metrics(args) -> tuple[dict[Path, str], str]:
     cohort = parse_cohort(_read(args.cohort), args.k_events)
     bundle = parse_bundle(_read(args.bundle), args.k_events)
     params = MetricParams(alpha=args.alpha, rho_steps=args.rho_steps)
     report = calibration_report(bundle, cohort, params, args.level, args.seed)
-    _write(args.out, report.to_json())
-    print(f"d_cal total {report.total_d:.6f} | pi_cal total {report.total_pi:.6f} -> {args.out}")
-    return 0
+    message = f"d_cal total {report.total_d:.6f} | pi_cal total {report.total_pi:.6f} -> {args.out}"
+    return {args.out: report.to_json()}, message
 
 
 def _recalibrate(
@@ -124,25 +132,24 @@ def _recalibrate(
     return {**rmap.to_dict(), "clip_events": recal.repairs}, recal
 
 
-def cmd_recalibrate(args) -> int:
+def cmd_recalibrate(args) -> tuple[dict[Path, str], str]:
     cal_cohort = parse_cohort(_read(args.cal_cohort), args.k_events)
     cal_bundle = parse_bundle(_read(args.cal_bundle), args.k_events)
     test_bundle = parse_bundle(_read(args.test_bundle), args.k_events)
     fitted, recal = _recalibrate(args.method, cal_cohort, cal_bundle, test_bundle, args.grid_size)
-    _write(args.out / "map.json", json.dumps(fitted, indent=2))
-    _write(args.out / "recalibrated_bundle.csv", bundle_to_csv(recal))
-    print(f"method {args.method}: {recal.repairs} repaired entries -> {args.out}")
-    return 0
+    files = {args.out / "map.json": json.dumps(fitted, indent=2),
+             args.out / "recalibrated_bundle.csv": bundle_to_csv(recal)}
+    return files, f"method {args.method}: {recal.repairs} repaired entries -> {args.out}"
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> tuple[dict[Path, str], str]:
     cohort = parse_cohort(_read(args.cohort), args.k_events)
     bundle = parse_bundle(_read(args.bundle), args.k_events)
     result = evaluate_bundle(cohort, bundle, args.horizons)
-    _write(args.out, result.to_json())
-    _write(args.out.with_suffix(".mean_incidence.csv"), mean_incidence_csv(bundle))
-    print(f"ibs {result.ibs:.6f} -> {args.out}")
-    return 0
+    # the parent and stem, not with_suffix, which raises on a path with no name such as "."
+    incidence = args.out.parent / f"{args.out.stem}.mean_incidence.csv"
+    files = {args.out: result.to_json(), incidence: mean_incidence_csv(bundle)}
+    return files, f"ibs {result.ibs:.6f} -> {args.out}"
 
 
 def _bench_settings(text: str) -> dict:
@@ -176,10 +183,9 @@ def _bench_settings(text: str) -> dict:
         raise ValidationError(f"malformed bench config ({type(exc).__name__}: {exc})") from None
 
 
-def _bench_seed(config: dict, seed: int, out_dir: Path) -> dict:
+def _bench_seed(config: dict, seed: int, out_dir: Path) -> tuple[dict, dict[Path, str]]:
     """One benchmark replicate: simulate, split, model, score, recalibrate.
-    Returns each variant's metrics in summary order; writes the seed's files
-    only once every variant is scored."""
+    Returns each variant's metrics in summary order and the seed's files."""
     grid_size, model = config["grid_size"], config["model"]
     cohort, latents = generate_cohort(config["weibull"], config["n"], seed)
     train, cal, test = split_cohort(cohort, seed, config["fractions"])
@@ -220,9 +226,7 @@ def _bench_seed(config: dict, seed: int, out_dir: Path) -> dict:
         "test_ids": list(test.ids),
         "disjoint": len(set(train.ids) | set(cal.ids) | set(test.ids)) == cohort.n,
     }
-    for name, content in files.items():
-        _write(out_dir / name, json.dumps(content, indent=2))
-    return row
+    return row, {out_dir / name: json.dumps(content, indent=2) for name, content in files.items()}
 
 
 def _aggregate(rows: list[dict]) -> dict:
@@ -251,20 +255,19 @@ def _summary_csv(summary: dict) -> str:
     return _table(["variant", "metric", "mean", "std"], rows)
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> tuple[dict[Path, str], str]:
     config = _bench_settings(_read(args.config))
     if args.seeds < 1:
         raise ValidationError("--seeds must be at least 1")
     seeds = [config["seed"] + i for i in range(args.seeds)]
-    summary = _aggregate([_bench_seed(config, seed, args.out / f"seed_{seed}") for seed in seeds])
-    _write(args.out / "summary.json", json.dumps({"seeds": seeds, **summary}, indent=2))
-    _write(args.out / "summary.csv", _summary_csv(summary))
+    runs = [_bench_seed(config, seed, args.out / f"seed_{seed}") for seed in seeds]
+    summary = _aggregate([row for row, _ in runs])
+    files = {path: text for _, seed_files in runs for path, text in seed_files.items()}
+    files[args.out / "summary.json"] = json.dumps({"seeds": seeds, **summary}, indent=2)
+    files[args.out / "summary.csv"] = _summary_csv(summary)
     base = summary["base"]
-    print(
-        f"{args.seeds} seeds | base d_cal {base['total_d']['mean']:.4f} "
-        f"pi_cal {base['total_pi']['mean']:.4f} -> {args.out}"
-    )
-    return 0
+    return files, (f"{args.seeds} seeds | base d_cal {base['total_d']['mean']:.4f} "
+                   f"pi_cal {base['total_pi']['mean']:.4f} -> {args.out}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -336,7 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        files, message = args.func(args)
+        _write_all(files)
+        print(message)
+        return 0
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3

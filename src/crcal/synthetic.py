@@ -140,11 +140,8 @@ def generate_cohort(config: WeibullConfig, n: int, seed: int) -> tuple[Cohort, l
         k_events=config.k_events,
         covariates=covariates,
     )
-    latents = [
-        LatentRecord(tuple(lams[i]), tuple(shapes[i]), float(tstar[i]), int(dstar[i]), float(censor[i]))
-        for i in range(n)
-    ]
-    return cohort, latents
+    fields = (zip(*lams.T.tolist()), zip(*shapes.T.tolist()), tstar.tolist(), dstar.tolist(), censor.tolist())
+    return cohort, list(map(LatentRecord, *fields))
 
 
 def latent_arrays(latents) -> tuple[np.ndarray, np.ndarray]:
@@ -349,9 +346,6 @@ def oracle_values(latents, read_times: np.ndarray) -> np.ndarray:
     m = read_times.shape[-1]
     read_times = np.broadcast_to(read_times, (n, m))
     s1, s_hi = _meshes(lams, shapes, read_times)
-    # each block takes its own rows' parameters from latents, so that beside
-    # the output only the (n,) meshes grow with n
-    del lams, shapes
     out = np.empty((n, k, m))
     reading = threading.Lock()
     # each worker's blocks hold _BLOCK // w rows, so the workspaces hold at
@@ -364,14 +358,13 @@ def oracle_values(latents, read_times: np.ndarray) -> np.ndarray:
         ws, starts = share
         for start in starts:
             rows = slice(start, start + size)
-            lams, shapes = latent_arrays(latents[rows])
-            table = _trapezoid_table(lams, shapes, s1[rows], s_hi[rows], ws)
+            table = _trapezoid_table(lams[rows], shapes[rows], s1[rows], s_hi[rows], ws)
             # one block is read at a time, so the reads' temporaries, the
             # largest, never meet another block's; the reads, short numpy
             # calls, mostly hold the interpreter lock anyway
             with reading:
                 rt = np.ascontiguousarray(read_times[rows])
-                out[rows] = _block_values(lams, shapes, rt, s1[rows], s_hi[rows], table)
+                out[rows] = _block_values(lams[rows], shapes[rows], rt, s1[rows], s_hi[rows], table)
 
     # worker i takes blocks i, i + w, ...; the workspaces are made here, in
     # the calling thread: workers that made their own, in malloc arenas of

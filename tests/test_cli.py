@@ -1,5 +1,7 @@
 import argparse
 import json
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from crcal import cli
 from crcal.cli import _times, build_parser, main
 from crcal.data import CifBundle, TimeGrid, bundle_to_csv, parse_bundle, parse_cohort
+from crcal.errors import NumericError
 
 
 def run(argv):
@@ -17,8 +20,8 @@ def run(argv):
 class TestSimulateAndMetrics:
     def test_simulate_outputs(self, tmp_path):
         assert run(["simulate", "--n", 120, "--seed", 3, "--out", tmp_path, "--grid-size", 8]) == 0
-        for name in ("cohort.csv", "oracle_bundle.csv", "latents.csv"):
-            assert (tmp_path / name).exists()
+        # every staged file was renamed into place
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cohort.csv", "latents.csv", "oracle_bundle.csv"]
 
     def test_metrics_report(self, tmp_path):
         run(["simulate", "--n", 150, "--seed", 4, "--out", tmp_path, "--grid-size", 8])
@@ -67,12 +70,34 @@ class TestSimulateAndMetrics:
                     "--out", tmp_path])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cohort.csv", "latents.csv", "oracle_bundle.csv"]
+
+    # a rename would replace the pipe (or a device such as /dev/null) with a file
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_out_path_is_a_pipe(self, tmp_path, capsys):
+        run(["simulate", "--n", 150, "--seed", 4, "--out", tmp_path, "--grid-size", 8])
+        capsys.readouterr()
+        os.mkfifo(tmp_path / "pipe")
+        code = run(["metrics", "--cohort", tmp_path / "cohort.csv", "--bundle", tmp_path / "oracle_bundle.csv",
+                    "--out", tmp_path / "pipe"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: cannot write {tmp_path / 'pipe'}: not a regular file\n"
+        assert stat.S_ISFIFO((tmp_path / "pipe").stat().st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cohort.csv", "latents.csv", "oracle_bundle.csv", "pipe"]
 
     def test_simulate_out_is_an_existing_file(self, tmp_path, capsys):
         (tmp_path / "taken").write_text("")
         code = run(["simulate", "--n", 50, "--seed", 4, "--out", tmp_path / "taken"])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path / 'taken' / 'cohort.csv'}: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+    def test_simulate_writes_nothing_when_a_later_target_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "out" / "oracle_bundle.csv").mkdir(parents=True)
+        code = run(["simulate", "--n", 50, "--seed", 4, "--out", tmp_path / "out"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path / 'out' / 'oracle_bundle.csv'}: ")
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["oracle_bundle.csv"]
 
     @pytest.mark.parametrize("settings, message", [
         (["--seed", -1], "seed must be nonnegative"),
@@ -174,13 +199,18 @@ class TestAjCommand:
     @pytest.mark.parametrize("target, more, message", [
         ("cohort.csv", [], "error: --replicate-for requires --bundle-out\n"),
         ("missing.csv", ["--bundle-out", "bundle.csv"], "error: cannot read missing.csv: "),
+        # the bundle's target is checked before any file is staged; Path("") is "."
+        ("cohort.csv", ["--bundle-out", ""], "error: cannot write .: "),
+        # the bundle fails after the curves are staged in a directory made for them
+        ("cohort.csv", ["--bundle-out", "cohort.csv/bundle.csv"], "error: cannot write cohort.csv/bundle.csv: "),
     ])
     def test_a_failing_replication_writes_nothing(self, tmp_path, monkeypatch, capsys, target, more, message):
         monkeypatch.chdir(tmp_path)
         Path("cohort.csv").write_text("id,time,event\na,1.0,1\nb,2.0,0\nc,3.0,1\n")
         code = run(["aj", "--cohort", "cohort.csv", "--out", "curves", "--k-events", 1, "--replicate-for", target, *more])
         assert code == 2
-        assert capsys.readouterr().err.startswith(message)
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
         assert [p.name for p in tmp_path.iterdir()] == ["cohort.csv"]
 
     def test_uncensored_single_event_cohort(self, tmp_path):
@@ -312,6 +342,26 @@ class TestRecalibrateAndEvaluate:
         ev = json.loads((tmp_path / "eval.json").read_text())
         assert set(ev) == {"c_index", "c_index_mean", "brier", "ibs"}
         assert (tmp_path / "eval.mean_incidence.csv").exists()
+
+    def test_evaluate_writes_no_report_when_its_incidence_target_is_a_directory(self, tmp_path, capsys):
+        self._setup(tmp_path)
+        (tmp_path / "eval.mean_incidence.csv").mkdir()
+        code = run(["evaluate", "--cohort", tmp_path / "cohort.csv", "--bundle", tmp_path / "oracle_bundle.csv",
+                    "--out", tmp_path / "eval.json"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path / 'eval.mean_incidence.csv'}: ")
+        assert not (tmp_path / "eval.json").exists()
+        assert not list(tmp_path.rglob("*.part"))
+
+    # "." has no name to derive the incidence file's name from, and is a directory
+    @pytest.mark.parametrize("out", ["", "."])
+    def test_evaluate_out_is_the_working_directory(self, tmp_path, monkeypatch, capsys, out):
+        self._setup(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        monkeypatch.chdir(tmp_path)
+        assert run(["evaluate", "--cohort", "cohort.csv", "--bundle", "oracle_bundle.csv", "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write .: ")
+        assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("horizons", ["abc", "1.0,", "", "nan", "inf", "-1", "0", "0.5,nan"])
     def test_evaluate_rejects_bad_horizons(self, tmp_path, capsys, horizons):
@@ -473,6 +523,22 @@ class TestBench:
         (tmp_path / "bench.json").write_text('{"n": 300, "model": "nope"}')
         assert run(["bench", "--config", tmp_path / "bench.json", "--seeds", 1, "--out", tmp_path / "out"]) == 2
         assert capsys.readouterr().err == "error: malformed bench config (ValueError: unknown model 'nope')\n"
+
+    def test_a_failing_seed_leaves_no_seed(self, tmp_path, capsys, monkeypatch):
+        # each seed scores three variants, so the fourth call is the second seed's first
+        real, calls = cli.evaluate_bundle, []
+
+        def evaluate_bundle(*args):
+            calls.append(args)
+            if len(calls) == 4:
+                raise NumericError("fourth evaluation")
+            return real(*args)
+
+        monkeypatch.setattr(cli, "evaluate_bundle", evaluate_bundle)
+        cfg = self._config(tmp_path)
+        assert run(["bench", "--config", cfg, "--seeds", 2, "--out", tmp_path / "bench"]) == 3
+        assert capsys.readouterr().err == "numeric error: fourth evaluation\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["bench.json"]
 
     def test_bench_deterministic(self, tmp_path):
         cfg = self._config(tmp_path, n=300)

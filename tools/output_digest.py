@@ -55,8 +55,13 @@ moved, to the last bit. Each line is ``<label> <sha256>``. The set:
   ``--rho-steps``, ``--n`` or ``--alpha``, a missing ``--out``, an unknown
   subcommand, ``--horizons`` of ``1.0,`` or the empty string), runs that
   fail after some work (``aj --replicate-for`` without ``--bundle-out``, a
-  bench whose test level is 2, a bench of an unknown model), and
-  ``crcal metrics`` on a cohort and a bundle that start with a UTF-8 BOM.
+  bench whose test level is 2, a bench of an unknown model), runs whose
+  later output cannot be written (``aj --bundle-out ""``, ``simulate``
+  whose ``oracle_bundle.csv`` and ``evaluate`` whose
+  ``.mean_incidence.csv`` target is a directory), a two-seed bench whose
+  fourth ``evaluate_bundle`` call raises ``NumericError``, and ``crcal
+  metrics`` on a cohort and a bundle that start with a UTF-8 BOM. Each
+  run's working directory is its own directory.
 
 A case that raises where a run or call should return is digested as
 ``raised <ExceptionType>``, so one tree's failure shows in the diff without
@@ -72,9 +77,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 
 def _sha(data: str | bytes) -> str:
@@ -398,12 +405,41 @@ def bad_input_outputs(work: Path) -> list[tuple[str, str]]:
     return out
 
 
+@contextlib.contextmanager
+def _inside(directory: Path):
+    """Run the block in ``directory`` (``contextlib.chdir`` needs Python 3.11)."""
+    old = os.getcwd()
+    os.chdir(directory)
+    try:
+        yield
+    finally:
+        os.chdir(old)
+
+
+def _fourth_call_fails(call):
+    """``call`` that raises NumericError on its fourth call."""
+    from crcal.errors import NumericError
+
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 4:
+            raise NumericError("fourth call")
+        return call(*args, **kwargs)
+
+    return wrapped
+
+
 def cli_edge_outputs(work: Path) -> list[tuple[str, str]]:
+    from crcal import cli
+
     cohort = _write_csv(work / "cli_cohort.csv", COHORT)
     bundle = _write_csv(work / "cli_bundle.csv", BUNDLE)
     for name, lines in (("bom_cohort", COHORT), ("bom_bundle", BUNDLE)):
         (work / f"{name}.csv").write_bytes(b"\xef\xbb\xbf" + "".join(line + "\n" for line in lines).encode())
-    configs = {"bench_level_two": {"n": 300, "level": 2}, "bench_unknown_model": {"n": 300, "model": "nope"}}
+    configs = {"bench_level_two": {"n": 300, "level": 2}, "bench_unknown_model": {"n": 300, "model": "nope"},
+               "bench_second_seed_numeric": {"n": 400, "model": "oracle", "grid_size": 8}}
     for name, config in configs.items():
         (work / f"{name}.json").write_text(json.dumps(config))
     scored = ("--k-events", "1", "--cohort", cohort, "--bundle", bundle)
@@ -422,12 +458,23 @@ def cli_edge_outputs(work: Path) -> list[tuple[str, str]]:
                                 "--out", "out"),
         "metrics_bom_files": ("metrics", "--k-events", "1", "--cohort", work / "bom_cohort.csv",
                               "--bundle", work / "bom_bundle.csv", "--out", "out.json"),
+        "aj_bundle_out_empty": ("aj", "--k-events", "1", "--cohort", cohort, "--out", "out",
+                                "--replicate-for", cohort, "--bundle-out", ""),
+        "simulate_bundle_directory": ("simulate", "--n", "20", "--seed", "1", "--out", "out"),
+        "evaluate_incidence_directory": ("evaluate", *scored, "--out", "out.json"),
+        "bench_second_seed_numeric": ("bench", "--config", work / "bench_second_seed_numeric.json",
+                                      "--seeds", "2", "--out", "out"),
     }
+    directories = {"simulate_bundle_directory": "out/oracle_bundle.csv",
+                   "evaluate_incidence_directory": "out.mean_incidence.csv"}
     out = []
     for name, argv in runs.items():
         case = work / "cli" / name
-        case.mkdir(parents=True)
-        result = _exit(work, *(case / a if a in ("out", "out.json") else a for a in argv))
+        (case / directories.get(name, "")).mkdir(parents=True)
+        fault = (mock.patch.object(cli, "evaluate_bundle", _fourth_call_fails(cli.evaluate_bundle))
+                 if name == "bench_second_seed_numeric" else contextlib.nullcontext())
+        with _inside(case), fault:
+            result = _exit(work, *(case / a if a in ("out", "out.json") else a for a in argv))
         left = "".join(f"{label} {digest}\n" for label, digest in _tree(name, case))
         out.append((f"edge/cli/{name}", _sha(result + left)))
     return out
