@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import MarginalCurveSet
-from .data import CifBundle, Cohort, TimeGrid, check_aligned, check_event
+from .data import CifBundle, Cohort, TimeGrid, check_aligned, check_event, check_integer
 from .errors import NumericError, ValidationError
 
 INFINITY = math.inf
@@ -38,8 +38,15 @@ class MetricParams:
     def __post_init__(self):
         if not (self.alpha > 1.0):
             raise ValidationError("alpha must exceed 1 (or be INFINITY)")
-        if self.rho_steps < 10:
-            raise ValidationError("rho_steps must be at least 10")
+        _check_rho_steps(self.rho_steps)
+
+
+def _check_rho_steps(rho_steps) -> None:
+    """The bucket resolution that every distribution-calibration entry point
+    takes: an integer of at least 10."""
+    check_integer(rho_steps, "rho_steps")
+    if rho_steps < 10:
+        raise ValidationError("rho_steps must be at least 10")
 
 
 def _bucket_masses(bundle: CifBundle, cohort: Cohort, rhos) -> np.ndarray:
@@ -106,6 +113,7 @@ def bucket_deviations(bundle: CifBundle, cohort: Cohort, rho_steps: int) -> np.n
     This array is the common input of the distribution-calibration metric
     and its KS test, so the two stay exactly consistent.
     """
+    _check_rho_steps(rho_steps)
     rhos = np.arange(1, rho_steps + 1) / rho_steps
     return _bucket_masses(bundle, cohort, rhos) - rhos
 

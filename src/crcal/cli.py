@@ -52,9 +52,16 @@ def _read(path: str) -> str:
         raise ValidationError(f"cannot read {path}: {exc}") from None
 
 
-def _write_all(files: dict[Path, str]) -> None:
-    """Write every file as UTF-8, or none: stage each as ``<name>.part`` beside its target, rename
-    them into place once all are written, and on a failure remove what was staged or made."""
+def _write_all(files: dict[Path, str | dict]) -> None:
+    """Write every file as UTF-8, or none: encode each value that is not text as strict JSON,
+    stage each file as ``<name>.part`` beside its target, rename them into place once all are
+    written, and on a failure remove what was staged or made."""
+    texts = {}
+    for path, value in files.items():
+        try:
+            texts[path] = value if isinstance(value, str) else json.dumps(value, indent=2, allow_nan=False)
+        except ValueError as exc:  # a NaN or an infinity, which strict JSON readers reject
+            raise NumericError(f"cannot encode {path}: {exc}") from None
     staged, made = [], []
     try:
         for path in files:  # Path("") is "."; a rename would replace a device or a pipe
@@ -62,7 +69,7 @@ def _write_all(files: dict[Path, str]) -> None:
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
             if path.exists() and not path.is_file():
                 raise OSError("not a regular file")
-        for path, text in files.items():
+        for path, text in texts.items():
             made += [d for d in path.parents if not d.exists()][-1:]  # the outermost one this run makes
             path.parent.mkdir(parents=True, exist_ok=True)
             staged.append(part := path.with_name(path.name + ".part"))
@@ -77,7 +84,7 @@ def _write_all(files: dict[Path, str]) -> None:
         raise ValidationError(f"cannot write {path}: {exc}") from None
 
 
-def cmd_simulate(args) -> tuple[dict[Path, str], str]:
+def cmd_simulate(args) -> tuple[dict[Path, str | dict], str]:
     config = WeibullConfig(censoring_scale=args.censoring_scale)
     cohort, latents = generate_cohort(config, args.n, args.seed)
     grid = oracle_grid(cohort, latents, args.grid_size)
@@ -87,7 +94,7 @@ def cmd_simulate(args) -> tuple[dict[Path, str], str]:
     return files, f"wrote cohort ({cohort.n} records), oracle bundle and latents to {args.out}"
 
 
-def cmd_aj(args) -> tuple[dict[Path, str], str]:
+def cmd_aj(args) -> tuple[dict[Path, str | dict], str]:
     if args.replicate_for and args.bundle_out is None:
         raise ValidationError("--replicate-for requires --bundle-out")
     cohort = parse_cohort(_read(args.cohort), args.k_events)
@@ -104,13 +111,13 @@ def cmd_aj(args) -> tuple[dict[Path, str], str]:
     return files, message
 
 
-def cmd_metrics(args) -> tuple[dict[Path, str], str]:
+def cmd_metrics(args) -> tuple[dict[Path, str | dict], str]:
     cohort = parse_cohort(_read(args.cohort), args.k_events)
     bundle = parse_bundle(_read(args.bundle), args.k_events)
     params = MetricParams(alpha=args.alpha, rho_steps=args.rho_steps)
     report = calibration_report(bundle, cohort, params, args.level, args.seed)
     message = f"d_cal total {report.total_d:.6f} | pi_cal total {report.total_pi:.6f} -> {args.out}"
-    return {args.out: report.to_json()}, message
+    return {args.out: report.to_dict()}, message
 
 
 def _recalibrate(
@@ -132,60 +139,72 @@ def _recalibrate(
     return {**rmap.to_dict(), "clip_events": recal.repairs}, recal
 
 
-def cmd_recalibrate(args) -> tuple[dict[Path, str], str]:
+def cmd_recalibrate(args) -> tuple[dict[Path, str | dict], str]:
     cal_cohort = parse_cohort(_read(args.cal_cohort), args.k_events)
     cal_bundle = parse_bundle(_read(args.cal_bundle), args.k_events)
     test_bundle = parse_bundle(_read(args.test_bundle), args.k_events)
     fitted, recal = _recalibrate(args.method, cal_cohort, cal_bundle, test_bundle, args.grid_size)
-    files = {args.out / "map.json": json.dumps(fitted, indent=2),
-             args.out / "recalibrated_bundle.csv": bundle_to_csv(recal)}
+    files = {args.out / "map.json": fitted, args.out / "recalibrated_bundle.csv": bundle_to_csv(recal)}
     return files, f"method {args.method}: {recal.repairs} repaired entries -> {args.out}"
 
 
-def cmd_evaluate(args) -> tuple[dict[Path, str], str]:
+def cmd_evaluate(args) -> tuple[dict[Path, str | dict], str]:
     cohort = parse_cohort(_read(args.cohort), args.k_events)
     bundle = parse_bundle(_read(args.bundle), args.k_events)
     result = evaluate_bundle(cohort, bundle, args.horizons)
     # the parent and stem, not with_suffix, which raises on a path with no name such as "."
     incidence = args.out.parent / f"{args.out.stem}.mean_incidence.csv"
-    files = {args.out: result.to_json(), incidence: mean_incidence_csv(bundle)}
+    files = {args.out: result.to_dict(), incidence: mean_incidence_csv(bundle)}
     return files, f"ibs {result.ibs:.6f} -> {args.out}"
 
 
+_BENCH_DEFAULTS = {"seed": 0, "grid_size": DEFAULT_GRID_SIZE, "model": "aj", "alpha": 2.0, "rho_steps": 100,
+                   "level": 0.05, "fractions": DEFAULT_FRACTIONS, "censoring_scale": None}
+
+
 def _bench_settings(text: str) -> dict:
-    """Typed bench config with its defaults; malformed input raises ValidationError."""
+    """Typed bench config with its defaults; malformed input, an unknown key
+    included, raises ValidationError."""
     try:
         config = json.loads(text)
         if not isinstance(config, dict):
             raise TypeError("the config must be a JSON object")
+        unknown = config.keys() - _BENCH_DEFAULTS.keys() - {"n"}
+        if unknown:
+            raise ValueError(f"unknown keys {sorted(unknown)}")
+        config = {**_BENCH_DEFAULTS, **config}
 
-        def integer(key: str, default=None) -> int:
-            value = config[key] if default is None else config.get(key, default)
-            if type(value) is not int:
-                raise TypeError(f"{key} must be an integer, got {value!r}")
-            return value
+        def integer(key: str) -> int:
+            if type(config[key]) is not int:
+                raise TypeError(f"{key} must be an integer, got {config[key]!r}")
+            return config[key]
 
-        model = config.get("model", "aj")
+        def number(value, name: str) -> float:  # a bool or a string is not one
+            if type(value) not in (int, float):
+                raise TypeError(f"{name} must be a number, got {value!r}")
+            return float(value)
+
+        model = config["model"]
         if model not in ("aj", "oracle", "distorted"):
             raise ValueError(f"unknown model {model!r}")
-        scale = config.get("censoring_scale")
+        scale = config["censoring_scale"]
         return {
             "n": integer("n"),
-            "seed": integer("seed", 0),
-            "grid_size": integer("grid_size", DEFAULT_GRID_SIZE),
+            "seed": integer("seed"),
+            "grid_size": integer("grid_size"),
             "model": model,
-            "params": MetricParams(float(config.get("alpha", 2.0)), integer("rho_steps", 100)),
-            "level": float(config.get("level", 0.05)),
-            "fractions": tuple(float(f) for f in config.get("fractions", DEFAULT_FRACTIONS)),
-            "weibull": WeibullConfig(censoring_scale=None if scale is None else float(scale)),
+            "params": MetricParams(number(config["alpha"], "alpha"), integer("rho_steps")),
+            "level": number(config["level"], "level"),
+            "fractions": tuple(number(f, "a fraction") for f in config["fractions"]),
+            "weibull": WeibullConfig(censoring_scale=None if scale is None else number(scale, "censoring_scale")),
         }
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # float() of a huge JSON integer overflows
         raise ValidationError(f"malformed bench config ({type(exc).__name__}: {exc})") from None
 
 
-def _bench_seed(config: dict, seed: int, out_dir: Path) -> tuple[dict, dict[Path, str]]:
+def _bench_seed(config: dict, seed: int, out_dir: Path) -> tuple[dict, dict[Path, dict]]:
     """One benchmark replicate: simulate, split, model, score, recalibrate.
-    Returns each variant's metrics in summary order and the seed's files."""
+    Returns each variant's metrics in summary order, None where undefined, and the seed's files."""
     grid_size, model = config["grid_size"], config["model"]
     cohort, latents = generate_cohort(config["weibull"], config["n"], seed)
     train, cal, test = split_cohort(cohort, seed, config["fractions"])
@@ -205,33 +224,34 @@ def _bench_seed(config: dict, seed: int, out_dir: Path) -> tuple[dict, dict[Path
     variants, files = {"base": test_bundle}, {}
     for method in ("aj", "ts"):
         fitted, variants[method] = _recalibrate(method, cal, cal_bundle, test_bundle, grid_size)
-        files[f"map_{method}.json"] = fitted
+        files[out_dir / f"map_{method}.json"] = fitted
 
     row = {}
     for name, bundle in variants.items():
         rep = calibration_report(bundle, test, config["params"], config["level"], seed)
         ev = evaluate_bundle(test, bundle)
-        files[f"report_{name}.json"] = {**rep.to_dict(), "evaluation": ev.to_dict()}
+        files[out_dir / f"report_{name}.json"] = {**rep.to_dict(), "evaluation": ev.to_dict()}
+        defined = [v for v in ev.c_index_mean.values() if v is not None]
         row[name] = {
             "total_d": rep.total_d,
             "total_pi": rep.total_pi,
             "ibs": ev.ibs,
-            "c_index_mean": float(np.nanmean(list(ev.c_index_mean.values()))),
+            "c_index_mean": float(np.mean(defined)) if defined else None,
             "d_test_passed": rep.d_overall,
             "pi_test_passed": rep.pi_overall,
         }
-    files["splits.json"] = {
+    files[out_dir / "splits.json"] = {
         "train_ids": list(train.ids),
         "cal_ids": list(cal.ids),
         "test_ids": list(test.ids),
         "disjoint": len(set(train.ids) | set(cal.ids) | set(test.ids)) == cohort.n,
     }
-    return row, {out_dir / name: json.dumps(content, indent=2) for name, content in files.items()}
+    return row, files
 
 
 def _aggregate(rows: list[dict]) -> dict:
-    """Per variant and metric across seeds: the mean and standard deviation,
-    or the pass rate of a test verdict (a bool)."""
+    """Per variant and metric across seeds: the mean and standard deviation, both
+    None when a seed's value is, or the pass rate of a test verdict (a bool)."""
     summary: dict = {}
     for variant, metrics in rows[0].items():
         block = summary[variant] = {}
@@ -239,31 +259,34 @@ def _aggregate(rows: list[dict]) -> dict:
             vals = [r[variant][metric] for r in rows]
             if isinstance(first, bool):
                 block[metric] = {"pass_rate": sum(vals) / len(vals)}
+            elif None in vals:
+                block[metric] = {"mean": None, "std": None}
             else:
                 block[metric] = {"mean": float(np.mean(vals)), "std": float(np.std(vals))}
     return summary
 
 
 def _summary_csv(summary: dict) -> str:
+    def field(value) -> str:  # an undefined value and a pass rate's std are empty fields
+        return "" if value is None else repr(value)
+
     rows = (
-        (variant, metric, repr(cell["mean"]), repr(cell["std"]))
-        if "mean" in cell
-        else (variant, metric, repr(cell["pass_rate"]), "")
+        (variant, metric, field(cell.get("mean", cell.get("pass_rate"))), field(cell.get("std")))
         for variant, block in summary.items()
         for metric, cell in block.items()
     )
     return _table(["variant", "metric", "mean", "std"], rows)
 
 
-def cmd_bench(args) -> tuple[dict[Path, str], str]:
+def cmd_bench(args) -> tuple[dict[Path, str | dict], str]:
     config = _bench_settings(_read(args.config))
     if args.seeds < 1:
         raise ValidationError("--seeds must be at least 1")
     seeds = [config["seed"] + i for i in range(args.seeds)]
     runs = [_bench_seed(config, seed, args.out / f"seed_{seed}") for seed in seeds]
     summary = _aggregate([row for row, _ in runs])
-    files = {path: text for _, seed_files in runs for path, text in seed_files.items()}
-    files[args.out / "summary.json"] = json.dumps({"seeds": seeds, **summary}, indent=2)
+    files = {path: value for _, seed_files in runs for path, value in seed_files.items()}
+    files[args.out / "summary.json"] = {"seeds": seeds, **summary}
     files[args.out / "summary.csv"] = _summary_csv(summary)
     base = summary["base"]
     return files, (f"{args.seeds} seeds | base d_cal {base['total_d']['mean']:.4f} "

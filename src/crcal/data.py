@@ -258,6 +258,12 @@ class CifBundle:
         return self.values[:, :, -1]
 
 
+def check_integer(value, name: str) -> None:
+    """Reject a count or seed that is not an int or a numpy integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
 def check_event(k: int, k_events: int) -> None:
     """Reject an event number outside 1..k_events."""
     if not 1 <= k <= k_events:
@@ -537,6 +543,7 @@ def split_cohort(
     """
     if cohort.n == 0:
         raise ValidationError("cannot split an empty cohort")
+    check_integer(seed, "seed")
     if seed < 0:
         raise ValidationError("seed must be nonnegative")
     fractions = tuple(float(f) for f in fractions)
@@ -568,6 +575,7 @@ def quantile_grid(cohort: Cohort, d: int) -> TimeGrid:
     """
     if cohort.n == 0:
         raise ValidationError("cohort is empty")
+    check_integer(d, "grid size d")
     if d < 2:
         raise ValidationError("grid size d must be at least 2")
     times = np.sort(cohort.times)

@@ -19,7 +19,6 @@ so every entry point here that takes a horizon, read it through ``_horizons``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -32,7 +31,7 @@ from .errors import NumericError, ValidationError
 @dataclass(frozen=True)
 class EvaluationResult:
     c_index: dict[int, dict[float, float]]
-    c_index_mean: dict[int, float]
+    c_index_mean: dict[int, float | None]
     brier: dict[int, dict[float, float]]
     ibs: float
 
@@ -45,15 +44,10 @@ class EvaluationResult:
 
         return {
             "c_index": fmt_map(self.c_index),
-            "c_index_mean": {
-                str(k): (None if math.isnan(v) else v) for k, v in sorted(self.c_index_mean.items())
-            },
+            "c_index_mean": {str(k): v for k, v in sorted(self.c_index_mean.items())},
             "brier": fmt_map(self.brier),
             "ibs": self.ibs,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def _horizons(taus) -> np.ndarray:
@@ -249,11 +243,11 @@ def evaluate_bundle(
     censoring = censoring_survival(cohort)
     horizons = default_horizons(cohort) if horizons is None else horizons
     c_index: dict[int, dict[float, float]] = {}
-    c_mean: dict[int, float] = {}
+    c_mean: dict[int, float | None] = {}
     for k, row in enumerate(c_indices(cohort, bundle, horizons, censoring).tolist(), start=1):
         c_index[k] = dict(zip(horizons, row))
         defined = [v for v in c_index[k].values() if not math.isnan(v)]
-        c_mean[k] = float(np.mean(defined)) if defined else math.nan
+        c_mean[k] = float(np.mean(defined)) if defined else None
     valid = bundle.grid.times[censoring.at(bundle.grid.times) > 0.0]
     if valid.size == 0:
         raise NumericError("no grid time lies inside the IPCW-valid horizon")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -32,7 +31,7 @@ class CalibrationReport:
         """Stable-key-order dictionary ready for JSON serialization."""
         alpha = "inf" if math.isinf(self.params.alpha) else self.params.alpha
         return {
-            "params": {"alpha": alpha, "rho_steps": self.params.rho_steps, "level": self.level},
+            "params": {"alpha": alpha, "rho_steps": int(self.params.rho_steps), "level": self.level},
             "n": self.n,
             "seed": self.seed,
             "d_cal": {
@@ -48,9 +47,6 @@ class CalibrationReport:
                 "pi_cal": _tests_dict(self.pi_tests, self.pi_overall, self.level),
             },
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, allow_nan=True)
 
 
 def _tests_dict(tests: dict[int, TestResult], overall: bool, level: float) -> dict:

@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CifBundle, Cohort, TimeGrid, _csv_id, _fmt, _run_shares, _table, _workers, check_event, quantile_grid
+from .data import (CifBundle, Cohort, TimeGrid, _csv_id, _fmt, _run_shares, _table, _workers, check_event,
+                   check_integer, quantile_grid)
 from .errors import ValidationError
 
 N_HEAD = 512
@@ -110,8 +111,10 @@ def generate_cohort(config: WeibullConfig, n: int, seed: int) -> tuple[Cohort, l
     the order scales-then-shapes. Returns the observed cohort plus the
     latent records needed by the oracle.
     """
+    check_integer(n, "n")
     if n < 1:
         raise ValidationError("n must be at least 1")
+    check_integer(seed, "seed")
     if seed < 0:
         raise ValidationError("seed must be nonnegative")
     root = np.random.SeedSequence(seed)
@@ -346,6 +349,9 @@ def oracle_values(latents, read_times: np.ndarray) -> np.ndarray:
     m = read_times.shape[-1]
     read_times = np.broadcast_to(read_times, (n, m))
     s1, s_hi = _meshes(lams, shapes, read_times)
+    # each block takes its own rows' parameters from latents, so that beside
+    # the output only the (n,) meshes grow with n
+    del lams, shapes
     out = np.empty((n, k, m))
     reading = threading.Lock()
     # each worker's blocks hold _BLOCK // w rows, so the workspaces hold at
@@ -358,13 +364,14 @@ def oracle_values(latents, read_times: np.ndarray) -> np.ndarray:
         ws, starts = share
         for start in starts:
             rows = slice(start, start + size)
-            table = _trapezoid_table(lams[rows], shapes[rows], s1[rows], s_hi[rows], ws)
+            lams, shapes = latent_arrays(latents[rows])
+            table = _trapezoid_table(lams, shapes, s1[rows], s_hi[rows], ws)
             # one block is read at a time, so the reads' temporaries, the
             # largest, never meet another block's; the reads, short numpy
             # calls, mostly hold the interpreter lock anyway
             with reading:
                 rt = np.ascontiguousarray(read_times[rows])
-                out[rows] = _block_values(lams[rows], shapes[rows], rt, s1[rows], s_hi[rows], table)
+                out[rows] = _block_values(lams, shapes, rt, s1[rows], s_hi[rows], table)
 
     # worker i takes blocks i, i + w, ...; the workspaces are made here, in
     # the calling thread: workers that made their own, in malloc arenas of

@@ -225,10 +225,25 @@ class TestCrDHat:
     @pytest.mark.parametrize("fields, message", [
         ({"alpha": 1.0}, "alpha must exceed 1 (or be INFINITY)"),
         ({"rho_steps": 9}, "rho_steps must be at least 10"),
+        ({"rho_steps": 10.5}, "rho_steps must be an integer, got 10.5"),
+        ({"rho_steps": True}, "rho_steps must be an integer, got True"),
     ])
     def test_bad_params_rejected(self, fields, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             MetricParams(**fields)
+
+    @pytest.mark.parametrize("rho_steps", [0, 5, 9, 10.5, True])
+    def test_every_d_cal_entry_point_keeps_the_rho_rule(self, rho_steps):
+        cohort, bundle = two_sample_toy()
+        for call in (bucket_deviations, lambda b, c, r: d_cal_test(b, c, rho_steps=r)):
+            with pytest.raises(ValidationError, match="^rho_steps must be"):
+                call(bundle, cohort, rho_steps)
+
+    def test_numpy_integer_rho_steps_scores_like_an_int(self):
+        cohort, bundle = two_sample_toy()
+        assert np.array_equal(bucket_deviations(bundle, cohort, np.int64(12)), bucket_deviations(bundle, cohort, 12))
+        report = calibration_report(bundle, cohort, MetricParams(rho_steps=np.int32(12)))
+        assert type(report.to_dict()["params"]["rho_steps"]) is int
 
     def test_scaling_one_event_keeps_ratios(self):
         # downscaling one event's CIF (survival absorbing the rest) leaves

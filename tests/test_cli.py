@@ -1,7 +1,9 @@
 import argparse
 import json
+import math
 import os
 import stat
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -401,6 +403,10 @@ class TestRecalibrateAndEvaluate:
             (["bench", "--seeds", 1], '{"n": 300, "fractions": [NaN, 0.5, 0.5]}'),
             (["bench", "--seeds", 1], '{"n": 300, "model": "nope"}'),
             (["bench", "--seeds", 1], '{"n": 300, "level": 2}'),
+            (["bench", "--seeds", 1], '{"n": 300, "model": "oracle", "alpah": 7}'),
+            (["bench", "--seeds", 1], '{"n": 300, "model": "oracle", "censoring_scale": true}'),
+            (["bench", "--seeds", 1], '{"n": 300, "model": "oracle", "level": "0.05"}'),
+            (["bench", "--seeds", 1], '{"n": 300, "model": "oracle", "alpha": 1' + "0" * 400 + "}"),
         ],
     )
     def test_malformed_input_exits_two(self, tmp_path, capsys, command, config):
@@ -538,6 +544,43 @@ class TestBench:
         cfg = self._config(tmp_path)
         assert run(["bench", "--config", cfg, "--seeds", 2, "--out", tmp_path / "bench"]) == 3
         assert capsys.readouterr().err == "numeric error: fourth evaluation\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["bench.json"]
+
+    def test_an_undefined_metric_is_null_in_every_file(self, tmp_path):
+        # at n = 30 seed 3's test split has no usable C-index pair for any event, so its
+        # c_index_mean, and with it the summary's, is undefined; seed 4's has one for event 1
+        (tmp_path / "bench.json").write_text('{"n": 30, "model": "oracle", "seed": 3}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["bench", "--config", tmp_path / "bench.json", "--seeds", 2, "--out", tmp_path / "out"]) == 0
+
+        def strict(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        # per seed two maps, three reports and the splits, then the summary
+        files = sorted((tmp_path / "out").rglob("*.json"))
+        assert len(files) == 13
+        parsed = [json.loads(path.read_text(), parse_constant=strict) for path in files]
+        summary = parsed[files.index(tmp_path / "out" / "summary.json")]
+        for variant in ("base", "aj", "ts"):
+            assert summary[variant]["c_index_mean"] == {"mean": None, "std": None}
+        rows = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+        assert {f"{variant},c_index_mean,," for variant in ("base", "aj", "ts")} <= set(rows)
+
+    def test_a_non_finite_value_stops_the_writer(self, tmp_path, capsys, monkeypatch):
+        real = cli._aggregate
+
+        def aggregate(rows):
+            summary = real(rows)
+            summary["base"]["ibs"]["mean"] = math.nan
+            return summary
+
+        monkeypatch.setattr(cli, "_aggregate", aggregate)
+        cfg = self._config(tmp_path, n=300)
+        assert run(["bench", "--config", cfg, "--seeds", 1, "--out", tmp_path / "bench"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"numeric error: cannot encode {tmp_path / 'bench' / 'summary.json'}: ")
+        assert err.count("\n") == 1
         assert [p.name for p in tmp_path.iterdir()] == ["bench.json"]
 
     def test_bench_deterministic(self, tmp_path):

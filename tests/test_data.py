@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -678,6 +679,15 @@ class TestSplitCohort:
         with pytest.raises(ValidationError, match="seed must be nonnegative"):
             split_cohort(self._cohort(10), seed=-1)
 
+    @pytest.mark.parametrize("seed", [2.5, True, "1"])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValidationError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+            split_cohort(self._cohort(10), seed=seed)
+
+    def test_numpy_integer_seed_splits_like_an_int(self):
+        parts = split_cohort(self._cohort(10), seed=np.int64(3))
+        assert [p.ids for p in parts] == [p.ids for p in split_cohort(self._cohort(10), seed=3)]
+
     @pytest.mark.parametrize("fractions", [(float("nan"), 0.5, 0.5), (0.5, 0.5, float("nan"))])
     def test_nan_fraction_rejected(self, fractions):
         with pytest.raises(ValidationError, match="three positive reals"):
@@ -723,6 +733,8 @@ class TestQuantileGrid:
         ([5.0] * 8, 4, "degenerate duration distribution: grid collapses to one point"),
         ([], 4, "cohort is empty"),
         ([1.0, 2.0], 1, "grid size d must be at least 2"),
+        ([1.0, 2.0], 8.5, "grid size d must be an integer, got 8.5"),
+        ([1.0, 2.0], True, "grid size d must be an integer, got True"),
     ])
     def test_bad_inputs_rejected(self, times, d, message):
         with pytest.raises(ValidationError, match=f"^{message}$"):

@@ -257,6 +257,10 @@ class TestGenerate:
     @pytest.mark.parametrize("n, seed, message", [
         (10, -1, "seed must be nonnegative"),
         (0, 1, "n must be at least 1"),
+        (2.5, 1, "n must be an integer, got 2.5"),
+        (True, 1, "n must be an integer, got True"),
+        (10, 2.5, "seed must be an integer, got 2.5"),
+        (10, False, "seed must be an integer, got False"),
     ])
     def test_bad_size_or_seed_rejected(self, n, seed, message):
         with pytest.raises(ValidationError, match=f"^{message}$"):

@@ -8,8 +8,9 @@ two checkouts and diffing the two listings shows which outputs a change
 moved, to the last bit. Each line is ``<label> <sha256>``. The set:
 
 - ``score/<pool>/<model>/{report,evaluation}``: the calibration report and
-  evaluation JSON of the benchmark's ``score`` inputs (n = 10000, seeds
-  4000 + pool for pool 0-2), for the oracle and the square-distorted bundle;
+  evaluation, as ``json.dumps(x.to_dict(), indent=2)``, of the benchmark's
+  ``score`` inputs (n = 10000, seeds 4000 + pool for pool 0-2), for the
+  oracle and the square-distorted bundle;
 - ``c_index/<k>/<tau>``: ``cr_c_index`` of the distorted pool-0 bundle at
   every event and the default horizons, as ``float.hex``;
 - ``bench/<file>``: every file of a 2-seed ``crcal bench`` tree
@@ -59,9 +60,10 @@ moved, to the last bit. Each line is ``<label> <sha256>``. The set:
   later output cannot be written (``aj --bundle-out ""``, ``simulate``
   whose ``oracle_bundle.csv`` and ``evaluate`` whose
   ``.mean_incidence.csv`` target is a directory), a two-seed bench whose
-  fourth ``evaluate_bundle`` call raises ``NumericError``, and ``crcal
-  metrics`` on a cohort and a bundle that start with a UTF-8 BOM. Each
-  run's working directory is its own directory.
+  fourth ``evaluate_bundle`` call raises ``NumericError``, a two-seed n = 30
+  oracle bench whose C-index is undefined in every seed, a bench config with
+  an unknown key, and ``crcal metrics`` on a cohort and a bundle that start
+  with a UTF-8 BOM. Each run's working directory is its own directory.
 
 A case that raises where a run or call should return is digested as
 ``raised <ExceptionType>``, so one tree's failure shows in the diff without
@@ -114,8 +116,8 @@ def score_outputs() -> list[tuple[str, str]]:
         for model, bundle in (("oracle", oracle), ("distorted", distorted)):
             rep = report.calibration_report(bundle, cohort)
             ev = evaluate.evaluate_bundle(cohort, bundle)
-            out.append((f"score/{pool}/{model}/report", _sha(rep.to_json())))
-            out.append((f"score/{pool}/{model}/evaluation", _sha(ev.to_json())))
+            out.append((f"score/{pool}/{model}/report", _sha(json.dumps(rep.to_dict(), indent=2))))
+            out.append((f"score/{pool}/{model}/evaluation", _sha(json.dumps(ev.to_dict(), indent=2))))
         if pool == 0:
             g = censoring_survival(cohort)
             for k in range(1, cohort.k_events + 1):
@@ -439,7 +441,9 @@ def cli_edge_outputs(work: Path) -> list[tuple[str, str]]:
     for name, lines in (("bom_cohort", COHORT), ("bom_bundle", BUNDLE)):
         (work / f"{name}.csv").write_bytes(b"\xef\xbb\xbf" + "".join(line + "\n" for line in lines).encode())
     configs = {"bench_level_two": {"n": 300, "level": 2}, "bench_unknown_model": {"n": 300, "model": "nope"},
-               "bench_second_seed_numeric": {"n": 400, "model": "oracle", "grid_size": 8}}
+               "bench_second_seed_numeric": {"n": 400, "model": "oracle", "grid_size": 8},
+               "bench_undefined_c_index": {"n": 30, "model": "oracle", "seed": 3},
+               "bench_unknown_key": {"n": 300, "model": "oracle", "alpah": 7}}
     for name, config in configs.items():
         (work / f"{name}.json").write_text(json.dumps(config))
     scored = ("--k-events", "1", "--cohort", cohort, "--bundle", bundle)
@@ -464,6 +468,10 @@ def cli_edge_outputs(work: Path) -> list[tuple[str, str]]:
         "evaluate_incidence_directory": ("evaluate", *scored, "--out", "out.json"),
         "bench_second_seed_numeric": ("bench", "--config", work / "bench_second_seed_numeric.json",
                                       "--seeds", "2", "--out", "out"),
+        "bench_undefined_c_index": ("bench", "--config", work / "bench_undefined_c_index.json",
+                                    "--seeds", "2", "--out", "out"),
+        "bench_unknown_key": ("bench", "--config", work / "bench_unknown_key.json", "--seeds", "1",
+                              "--out", "out"),
     }
     directories = {"simulate_bundle_directory": "out/oracle_bundle.csv",
                    "evaluate_incidence_directory": "out.mean_incidence.csv"}
