@@ -372,6 +372,9 @@ def main(argv=None) -> int:
     except CrcalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # numpy's _ArrayMemoryError too: a request too large for this machine
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -159,9 +159,9 @@ def _sample_mean(x: np.ndarray, buf: np.ndarray | None = None) -> np.ndarray:
 
 
 # threads a kernel runs on at most. Two are measured: on a 2-core Xeon they
-# make `protocol` ops 18% faster. More are not: np.cumsum, a tenth of the
-# oracle's table build, holds the interpreter lock, as do the oracle's reads
-# and many of the TS fit's short numpy calls, so a third thread may add
+# make `protocol` ops 18% faster. More are not: the oracle already gains
+# little from its second thread (README, "CPUs"), and many of the TS fit's
+# short numpy calls hold the interpreter lock, so a third thread may add
 # little. The cap also keeps a CPU quota, which the affinity mask does not
 # show, from meeting one thread per host CPU. Raise it with a sweep on more
 # cores.

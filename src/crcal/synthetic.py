@@ -15,14 +15,15 @@ substituted head piece (absorbs the s^(S-1) origin behavior for shapes
 below 2) and a uniform body piece, both with Euler-Maclaurin endpoint
 corrections; the domain is truncated where H exceeds 40 (mass below
 e^-40). Absolute error is below 1e-6 across the configured ranges.
-The oracle sets up every sample's mesh at once, then builds each row
-block's cumulative table and reads the block's values from it. The row
-blocks are dealt round-robin to the workers (see ``data._run_shares``),
-each with its own workspace, allocated up front; the workers build tables
-side by side and read them one block at a time. Each worker's blocks
-hold _BLOCK // workers rows, so the workspaces hold at most _BLOCK rows
-together, whatever the worker count. A value depends only on its own row,
-so the output is bitwise the same for any worker count and block size.
+The oracle sets up every sample's mesh at once. Its table blocks are dealt
+round-robin to the workers (see ``data._run_shares``), each with its own
+workspace, allocated up front; each worker's blocks hold _BLOCK // workers
+rows, so the workspaces hold at most _BLOCK rows together. A table block
+writes each read's sum over the panels below it into the output. Then the
+calling thread, with the workspaces freed, adds each read's endpoint
+corrections and partial panel in tiles of at most _READ cells. A value
+depends only on its own row, so the output is bitwise the same for any
+worker count and block size.
 Beside its output and two length-n vectors the oracle holds under 10 MB
 whatever n is. ``oracle_values``, which ``oracle_cif`` and ``oracle_bundle`` reach, and
 ``oracle_survival`` take finite, nonnegative read times; others raise ValidationError.
@@ -30,7 +31,6 @@ whatever n is. ``oracle_values``, which ``oracle_cif`` and ``oracle_bundle`` rea
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +42,8 @@ from .errors import ValidationError
 N_HEAD = 512
 N_BODY = 1536
 H_CUT = 40.0
-_BLOCK = 32  # rows of the blocks live at once, across all workers
+_BLOCK = 32  # rows of the table blocks live at once, across all workers
+_READ = 8192  # (row, read time) cells of each read tile
 
 DEFAULT_SCALE_RANGES = ((0.4, 0.9), (1.0, 1.0), (1.2, 3.0))
 DEFAULT_SHAPE_RANGES = ((1.0, 20.0), (1.0, 10.0), (1.5, 5.0))
@@ -125,7 +126,10 @@ def generate_cohort(config: WeibullConfig, n: int, seed: int) -> tuple[Cohort, l
         lams_p, shapes_p = _draw_params(pre, config, 10_000)
         lam0 = 1.5 * float(_draw_event_times(pre, lams_p, shapes_p).min(axis=1).mean())
     rng = np.random.default_rng(main_ss)
-    lams, shapes = _draw_params(rng, config, n)
+    try:
+        lams, shapes = _draw_params(rng, config, n)
+    except ValueError as exc:  # numpy's "Maximum allowed dimension exceeded"
+        raise ValidationError(f"n = {n} is too large for an array") from exc
     event_times = _draw_event_times(rng, lams, shapes)
     tstar = event_times.min(axis=1)
     dstar = event_times.argmin(axis=1) + 1
@@ -205,76 +209,88 @@ def _integrand(lams, shapes, s, out, eos, qs=None):
 
 
 def _workspace(c: int, k: int) -> dict:
-    """Preallocated table buffers reused across row blocks of up to c samples."""
-    mn = N_HEAD + N_BODY + 1
+    """Preallocated node buffers reused across row blocks of up to c samples."""
     v = np.linspace(0.0, 1.0, N_HEAD + 1)[1:]
     return {
-        "v2": v**2,
-        "v3": v**3,
+        "log_v3": 3.0 * np.log(v),
+        "head_w": 1.5 / N_HEAD / v,
         "w": np.linspace(0.0, 1.0, N_BODY + 1),
-        "s_nodes": np.empty((c, mn)),
-        "fbuf": np.empty((c, k, mn)),  # the integrand, then the table built from it
-        "eos": np.empty((c, mn)),
-        "incr": np.empty((c, k, N_HEAD + N_BODY)),
+        "log_s": np.empty((c, N_HEAD + N_BODY + 1)),
+        "eos": np.empty((c, N_HEAD + N_BODY + 1)),
+        "nodes": np.zeros((c, k, N_HEAD + N_BODY + 2)),  # a zero, then the weighted nodes
     }
 
 
-def _trapezoid_table(lams, shapes, s1, s_hi, ws):
-    """The cumulative trapezoid table (c, K, N_HEAD + N_BODY + 1) of one row
-    block, built in the workspace over each sample's mesh: cubic-substituted
-    head on [0, s1], uniform body on [s1, s_hi]."""
-    c = lams.shape[0]
-    dv = 1.0 / N_HEAD
-    db = (s_hi - s1) / N_BODY
-    # explicit nodes: head at s1 v^3 for v = dv..1, body at s1..s_hi
-    s_nodes = ws["s_nodes"][:c]
-    np.multiply(s1[:, None], ws["v3"][None, :], out=s_nodes[:, :N_HEAD])
-    np.multiply((s_hi - s1)[:, None], ws["w"][None, :], out=s_nodes[:, N_HEAD:])
-    s_nodes[:, N_HEAD:] += s1[:, None]
-    np.maximum(s_nodes, 1e-300, out=s_nodes)
-    f = _integrand(lams, shapes, s_nodes, ws["fbuf"][:c], ws["eos"][:c])
-
-    # trapezoid increments: head panels in v with g = 3 s1 v^2 f (g = 0 at
-    # the implicit v = 0 node), written over f's head, body panels in s
-    g = f[:, :, :N_HEAD]
-    g *= 1.5 * dv
-    g *= s1[:, None, None]
-    g *= ws["v2"]
-    incr = ws["incr"][:c]
-    incr[:, :, 0] = g[:, :, 0]
-    np.add(g[:, :, :-1], g[:, :, 1:], out=incr[:, :, 1:N_HEAD])
-    np.add(f[:, :, N_HEAD:-1], f[:, :, N_HEAD + 1:], out=incr[:, :, N_HEAD:])
-    incr[:, :, N_HEAD:] *= (0.5 * db)[:, None, None]
-    # f is spent: the table takes its place
-    table = f
-    table[:, :, 0] = 0.0
-    np.cumsum(incr, axis=2, out=table[:, :, 1:])
-    return table
+def _positions(read_times, s1, s_hi):
+    """Each read's analytic mesh position for reads (c, m) on meshes (s1,
+    s_hi): its head and body fractions, whether it lies in the head, the
+    panel i0 below it, and whether it lies past the truncated domain."""
+    # each fraction is clipped to [0, 1] with a NaN (0 / 0) taken as 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac_head = np.cbrt(np.fmax(np.fmin(read_times / s1[:, None], 1.0), 0.0))
+        frac_body = np.fmax(np.fmin((read_times - s1[:, None]) / (s_hi - s1)[:, None], 1.0), 0.0)
+    in_head = read_times <= s1[:, None]
+    pos = np.where(in_head, frac_head * N_HEAD, N_HEAD + frac_body * N_BODY)
+    i0 = np.clip(pos.astype(np.int64), 0, N_HEAD + N_BODY - 1)
+    return frac_head, frac_body, in_head, i0, read_times > s_hi[:, None] * (1.0 + 1e-12)
 
 
-def _block_values(lams, shapes, read_times, s1, s_hi, table):
-    """Oracle CIF values for one row block at per-sample read times (c, m).
+def _panel_sums(lams, shapes, read_times, s1, s_hi, ws, out):
+    """Write into ``out`` (c, K, m) one row block's trapezoid sums over the
+    panels below each read's panel i0, or over all panels past the truncated
+    domain. A node holds f_k / S_k times its trapezoid weight, so a panel's
+    sum is its two nodes' sum: with the nodes led by a zero as Y and
+    A(c) = sum(Y[:c]), the sum below panel b is 2 A(c) + Y[c] at c = b in the
+    head, and at c = b + 1 in the body less the body's and the head's node at
+    s1. A comes from segment sums between the row's sorted cuts
+    (``np.add.reduceat``, which releases the interpreter lock)."""
+    c, k = lams.shape
+    log_s = ws["log_s"][:c]
+    np.add(np.log(s1)[:, None], ws["log_v3"], out=log_s[:, :N_HEAD])
+    np.log(s1[:, None] + (s_hi - s1)[:, None] * ws["w"], out=log_s[:, N_HEAD:])
+    nodes = ws["nodes"][:c]
+    p = nodes[:, :, 1:]
+    np.subtract(log_s[:, None, :], np.log(lams)[:, :, None], out=p)
+    p *= shapes[:, :, None]
+    np.exp(p, out=p)  # P_k = (s / L_k)^S_k, at most H_CUT at nodes up to s_hi
+    # per node: exp(-H) / s times the panel weight, the head's 1 / s = 1 / (s1 v^3)
+    # folded with its Jacobian 3 s1 v^2 and half panel dv / 2 into 1.5 dv / v
+    eos = p.sum(axis=1, out=ws["eos"][:c])
+    eos[:, N_HEAD:] += log_s[:, N_HEAD:]
+    np.exp(np.negative(eos, out=eos), out=eos)
+    eos[:, :N_HEAD] *= ws["head_w"]
+    eos[:, N_HEAD:] *= (0.5 / N_BODY * (s_hi - s1))[:, None]
+    p *= eos[:, None, :]
+
+    _, _, in_head, i0, truncated = _positions(read_times, s1, s_hi)
+    cut = np.where(truncated, N_HEAD + N_BODY, i0) + ~in_head
+    order = np.argsort(cut.astype(np.uint16), axis=1, kind="stable")  # a radix sort
+    cut = np.take_along_axis(cut, order, axis=1)
+    flat = np.arange(0, nodes.size, nodes.shape[2]).reshape(c, k, 1)
+    flat = np.concatenate([flat, flat + cut[:, None, :]], axis=2)
+    seg = np.add.reduceat(nodes.reshape(-1), flat.reshape(-1)).reshape(flat.shape)[:, :, :-1]
+    # a repeated cut makes an empty segment, which gives its first node, not zero
+    np.copyto(seg[:, :, 1:], 0.0, where=(cut[:, 1:] == cut[:, :-1])[:, None, :])
+    sums = 2.0 * np.cumsum(seg, axis=2) + nodes.reshape(-1)[flat[:, :, 1:]]
+    np.subtract(sums, (nodes[:, :, N_HEAD] + nodes[:, :, N_HEAD + 1])[:, :, None], out=sums,
+                where=(cut > N_HEAD)[:, None, :])
+    sums *= shapes[:, :, None]
+    np.put_along_axis(out, order[:, None, :], sums, axis=2)
+
+
+def _block_values(lams, shapes, read_times, s1, s_hi, base):
+    """Turn ``base``, one row block's trapezoid sums from ``_panel_sums``,
+    into the oracle CIF values at its per-sample read times (c, m), in place.
 
     ``s1`` and ``s_hi`` are the block's mesh: its head piece ends at s1 and
-    its domain at s_hi. The block's cumulative ``table`` is read at each
-    read time with Euler-Maclaurin endpoint corrections and a partial-panel
-    trapezoid.
+    its domain at s_hi. Each sum is read with Euler-Maclaurin endpoint
+    corrections and a partial-panel trapezoid.
     """
     c, k = lams.shape
     m = read_times.shape[1]
     dv = 1.0 / N_HEAD
     db = (s_hi - s1) / N_BODY
-
-    # analytic mesh position of every read time
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac_head = np.cbrt(np.clip(read_times / s1[:, None], 0.0, 1.0))
-        frac_body = np.clip((read_times - s1[:, None]) / (s_hi - s1)[:, None], 0.0, 1.0)
-    frac_head = np.nan_to_num(frac_head, nan=1.0)
-    frac_body = np.nan_to_num(frac_body, nan=1.0)
-    in_head = read_times <= s1[:, None]
-    pos = np.where(in_head, frac_head * N_HEAD, N_HEAD + frac_body * N_BODY)
-    i0 = np.clip(pos.astype(np.int64), 0, N_HEAD + N_BODY - 1)
-    base = np.take_along_axis(table, np.broadcast_to(i0[:, None, :], (c, k, m)), axis=2)
+    frac_head, frac_body, in_head, i0, truncated = _positions(read_times, s1, s_hi)
 
     # integrand and derivative at the node below each read, the read time
     # itself, and the piece boundaries (for the endpoint corrections)
@@ -308,13 +324,12 @@ def _block_values(lams, shapes, read_times, s1, s_hi, table):
     partial = 0.5 * span[:, None, :] * np.where(in_head[:, None, :], g_lo + g_t, f_lo + f_t)
 
     vals = base - corr + partial
-    # reads past the truncated domain return the terminal value so the
-    # curve stays exactly flat there
-    end_val = table[:, :, -1] - (dv * dv / 12.0) * gp_one - (db * db)[:, None] / 12.0 * (fp_shi - fp_s1)
-    truncated = read_times > s_hi[:, None] * (1.0 + 1e-12)
+    # reads past the truncated domain hold the whole mesh's sum and return
+    # the terminal value, so the curve stays exactly flat there
     if truncated.any():
-        vals = np.where(truncated[:, None, :], end_val[:, :, None], vals)
-    return np.clip(vals, 0.0, 1.0)
+        end_corr = (dv * dv / 12.0) * gp_one + (db * db)[:, None] / 12.0 * (fp_shi - fp_s1)
+        vals = np.where(truncated[:, None, :], base - end_corr[:, :, None], vals)
+    np.clip(vals, 0.0, 1.0, out=base)
 
 
 def _meshes(lams, shapes, read_times):
@@ -353,30 +368,29 @@ def oracle_values(latents, read_times: np.ndarray) -> np.ndarray:
     # the output only the (n,) meshes grow with n
     del lams, shapes
     out = np.empty((n, k, m))
-    reading = threading.Lock()
-    # each worker's blocks hold _BLOCK // w rows, so the workspaces hold at
-    # most _BLOCK rows together
+    # each worker's table blocks hold _BLOCK // w rows, so the workspaces
+    # hold at most _BLOCK rows together
     w = min(_workers(), _BLOCK)
     size = _BLOCK // w
     w = min(w, -(-n // size))
 
-    def run(share):
-        ws, starts = share
+    def blocks(fn, size, starts, cols, *ws):
         for start in starts:
             rows = slice(start, start + size)
             lams, shapes = latent_arrays(latents[rows])
-            table = _trapezoid_table(lams, shapes, s1[rows], s_hi[rows], ws)
-            # one block is read at a time, so the reads' temporaries, the
-            # largest, never meet another block's; the reads, short numpy
-            # calls, mostly hold the interpreter lock anyway
-            with reading:
-                rt = np.ascontiguousarray(read_times[rows])
-                out[rows] = _block_values(lams, shapes, rt, s1[rows], s_hi[rows], table)
+            for t in (slice(j, j + cols) for j in range(0, m, cols)):
+                fn(lams, shapes, np.ascontiguousarray(read_times[rows, t]), s1[rows], s_hi[rows], *ws, out[rows, :, t])
 
     # worker i takes blocks i, i + w, ...; the workspaces are made here, in
     # the calling thread: workers that made their own, in malloc arenas of
     # their own, raised the peak RSS of eight n = 2000 bench seeds by 4%
-    _run_shares(run, [(_workspace(min(n, size), k), range(i * size, n, w * size)) for i in range(w)])
+    _run_shares(lambda share: blocks(_panel_sums, size, *share),
+                [(range(i * size, n, w * size), m, _workspace(min(n, size), k)) for i in range(w)])
+    # the reads run here once the workspaces are freed, in tiles of at most
+    # _READ cells: their temporaries, per cell the largest, have the memory
+    # to themselves, and on two threads the reads were no faster
+    size = max(1, _READ // m)
+    blocks(_block_values, size, range(0, n, size), min(m, _READ))
     return out
 
 

@@ -110,6 +110,24 @@ class TestSimulateAndMetrics:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    def test_simulate_too_large_n_is_one_error_line(self, tmp_path, capsys):
+        assert run(["simulate", "--n", 10**20, "--seed", 1, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == "error: n = 100000000000000000000 is too large for an array\n"
+        assert not (tmp_path / "out").exists()
+
+    # numpy's _ArrayMemoryError is a MemoryError; nothing is allocated here
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 745. GiB for an array"), "Unable to allocate 745. GiB for an array"),
+        (MemoryError(), "out of memory"),
+    ])
+    def test_memory_error_is_one_error_line(self, tmp_path, capsys, monkeypatch, exc, message):
+        def fail(*args):
+            raise exc
+        monkeypatch.setattr(cli, "oracle_bundle", fail)
+        assert run(["simulate", "--n", 20, "--seed", 1, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv, message", [
         (["metrics", "--rho-steps", "abc"], "argument --rho-steps: invalid int value: 'abc'"),
         (["simulate", "--n", "x"], "argument --n: invalid int value: 'x'"),
@@ -407,6 +425,7 @@ class TestRecalibrateAndEvaluate:
             (["bench", "--seeds", 1], '{"n": 300, "model": "oracle", "censoring_scale": true}'),
             (["bench", "--seeds", 1], '{"n": 300, "model": "oracle", "level": "0.05"}'),
             (["bench", "--seeds", 1], '{"n": 300, "model": "oracle", "alpha": 1' + "0" * 400 + "}"),
+            (["bench", "--seeds", 1], '{"n": 100000000000000000000, "model": "oracle"}'),
         ],
     )
     def test_malformed_input_exits_two(self, tmp_path, capsys, command, config):

@@ -62,8 +62,9 @@ moved, to the last bit. Each line is ``<label> <sha256>``. The set:
   ``.mean_incidence.csv`` target is a directory), a two-seed bench whose
   fourth ``evaluate_bundle`` call raises ``NumericError``, a two-seed n = 30
   oracle bench whose C-index is undefined in every seed, a bench config with
-  an unknown key, and ``crcal metrics`` on a cohort and a bundle that start
-  with a UTF-8 BOM. Each run's working directory is its own directory.
+  an unknown key, a ``simulate`` and a bench config whose n is too large for
+  an array, and ``crcal metrics`` on a cohort and a bundle that start with a
+  UTF-8 BOM. Each run's working directory is its own directory.
 
 A case that raises where a run or call should return is digested as
 ``raised <ExceptionType>``, so one tree's failure shows in the diff without
@@ -443,7 +444,8 @@ def cli_edge_outputs(work: Path) -> list[tuple[str, str]]:
     configs = {"bench_level_two": {"n": 300, "level": 2}, "bench_unknown_model": {"n": 300, "model": "nope"},
                "bench_second_seed_numeric": {"n": 400, "model": "oracle", "grid_size": 8},
                "bench_undefined_c_index": {"n": 30, "model": "oracle", "seed": 3},
-               "bench_unknown_key": {"n": 300, "model": "oracle", "alpah": 7}}
+               "bench_unknown_key": {"n": 300, "model": "oracle", "alpah": 7},
+               "bench_n_too_large": {"n": 10**20, "model": "oracle"}}
     for name, config in configs.items():
         (work / f"{name}.json").write_text(json.dumps(config))
     scored = ("--k-events", "1", "--cohort", cohort, "--bundle", bundle)
@@ -452,6 +454,7 @@ def cli_edge_outputs(work: Path) -> list[tuple[str, str]]:
         "metrics_alpha_abc": ("metrics", *scored, "--alpha", "abc", "--out", "out.json"),
         "simulate_n_x": ("simulate", "--n", "x", "--seed", "1", "--out", "out"),
         "simulate_missing_out": ("simulate", "--n", "20", "--seed", "1"),
+        "simulate_n_too_large": ("simulate", "--n", str(10**20), "--seed", "1", "--out", "out"),
         "unknown_subcommand": ("nope", "--out", "out"),
         "evaluate_horizons_trailing_comma": ("evaluate", *scored, "--horizons", "1.0,", "--out", "out.json"),
         "evaluate_horizons_empty": ("evaluate", *scored, "--horizons", "", "--out", "out.json"),
@@ -471,6 +474,8 @@ def cli_edge_outputs(work: Path) -> list[tuple[str, str]]:
         "bench_undefined_c_index": ("bench", "--config", work / "bench_undefined_c_index.json",
                                     "--seeds", "2", "--out", "out"),
         "bench_unknown_key": ("bench", "--config", work / "bench_unknown_key.json", "--seeds", "1",
+                              "--out", "out"),
+        "bench_n_too_large": ("bench", "--config", work / "bench_n_too_large.json", "--seeds", "1",
                               "--out", "out"),
     }
     directories = {"simulate_bundle_directory": "out/oracle_bundle.csv",
