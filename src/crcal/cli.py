@@ -115,7 +115,7 @@ def cmd_metrics(args) -> tuple[dict[Path, str | dict], str]:
     cohort = parse_cohort(_read(args.cohort), args.k_events)
     bundle = parse_bundle(_read(args.bundle), args.k_events)
     params = MetricParams(alpha=args.alpha, rho_steps=args.rho_steps)
-    report = calibration_report(bundle, cohort, params, args.level, args.seed)
+    report = calibration_report(bundle, cohort, params, args.level)
     message = f"d_cal total {report.total_d:.6f} | pi_cal total {report.total_pi:.6f} -> {args.out}"
     return {args.out: report.to_dict()}, message
 
@@ -337,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=2.0)
     p.add_argument("--rho-steps", type=int, default=100)
     p.add_argument("--level", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("recalibrate", parents=[events, grid, out],

@@ -134,28 +134,12 @@ def step_indices(grid_times: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def step_values(grid_times: np.ndarray, values: np.ndarray, t, before: float = 0.0) -> np.ndarray:
     """Right-continuous lookup of ``values`` (last axis on ``grid_times``) at t,
-    ``before`` ahead of the grid, in one new array, even for a scalar t. Times
-    lie outermost in memory, which fixes the summation order of a sample mean."""
+    ``before`` ahead of the grid, in one new array, even for a scalar t."""
     idx = step_indices(grid_times, t)
     out = values[..., np.maximum(idx, 0).ravel()].reshape(values.shape[:-1] + idx.shape)
     if np.any(idx < 0):
         np.copyto(out, before, where=idx < 0)
     return out
-
-
-def _sample_mean(x: np.ndarray, buf: np.ndarray | None = None) -> np.ndarray:
-    """Sample mean of an (n, K, d) array in numpy's order for one time's (n, K)
-    slice, whatever the layout of x: pairwise for K = 1, row by row otherwise.
-    The order does not depend on d, so a slice of times gets the same bits.
-    ``buf``, x.size floats, takes the contiguous copy in place of a new array."""
-    axis = 0
-    if x.shape[1] == 1:
-        x, axis = x.transpose(1, 2, 0), 2
-    if buf is None:
-        return np.ascontiguousarray(x).mean(axis=axis)
-    copy = buf.reshape(x.shape)
-    copy[...] = x
-    return copy.mean(axis=axis)
 
 
 # threads a kernel runs on at most. Two are measured: on a 2-core Xeon they
@@ -240,9 +224,8 @@ class CifBundle:
         return step_values(self.grid.times, self.values, t)
 
     def mean_at(self, t: np.ndarray) -> np.ndarray:
-        """Across-sample mean CIFs at arbitrary times, shape (K, len(t)),
-        equal bitwise to ``values_at(t).mean(axis=0)``."""
-        return step_values(self.grid.times, _sample_mean(self.values), t)
+        """Across-sample mean CIFs at arbitrary times, shape (K, len(t))."""
+        return step_values(self.grid.times, self.values.mean(axis=0), t)
 
     def values_at_own_times(self, t: np.ndarray) -> np.ndarray:
         """Step-evaluate each sample's CIFs at its own time, shape (n, K)."""

@@ -9,7 +9,6 @@ least level / K. P-values use the asymptotic Kolmogorov tail,
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,26 +71,22 @@ def ks_uniform(samples) -> tuple[float, float]:
 
 
 def _verdicts(
-    stats: list[float | None], cohort: Cohort, level: float, warning: str
+    stats: list[float | None], cohort: Cohort, level: float
 ) -> tuple[dict[int, TestResult], bool]:
     """Per-event KS verdicts at level / K, and the family-wise verdict. An
-    event with no observed record or a None statistic is not testable: it
-    warns with ``warning`` formatted with k and is left out."""
+    event with no observed record or a None statistic is not testable: its
+    result says so and the family-wise verdict leaves it out."""
     if not 0.0 < level < 1.0:
         raise ValidationError("level must lie in (0, 1)")
     n_eff = np.bincount(cohort.events, minlength=cohort.k_events + 1)[1:].tolist()
     results: dict[int, TestResult] = {}
     for k, (stat, n) in enumerate(zip(stats, n_eff), start=1):
         if stat is None or n == 0:
-            warnings.warn(warning.format(k=k))
             results[k] = TestResult(math.nan, n, math.nan, False, testable=False)
         else:
             p = kolmogorov_p(math.sqrt(n) * stat)
             results[k] = TestResult(stat, n, p, p >= level / cohort.k_events)
-    testable = [r for r in results.values() if r.testable]
-    if not testable:
-        warnings.warn("no event was testable; overall verdict is vacuous")
-    return results, all(r.passed for r in testable)
+    return results, all(r.passed for r in results.values() if r.testable)
 
 
 def d_cal_verdicts(
@@ -100,7 +95,7 @@ def d_cal_verdicts(
     """``d_cal_test`` on the (K, M) deviations of ``bucket_deviations``, so
     that the metric and its test share one computation."""
     stats = np.abs(devs).max(axis=1).tolist()
-    return _verdicts(stats, cohort, level, "event {k} has no observed occurrences; not testable")
+    return _verdicts(stats, cohort, level)
 
 
 def d_cal_test(
@@ -128,4 +123,4 @@ def pi_cal_test(
     gaps = marginal_gaps(bundle, marginal, bundle.grid.times)
     terminals = marginal.cifs_at([bundle.grid.t_max])[:, 0].tolist()
     stats = [float(row.max()) / t if t > 0.0 else None for row, t in zip(gaps, terminals)]
-    return _verdicts(stats, cohort, level, "event {k} is not testable against the plug-in marginal")
+    return _verdicts(stats, cohort, level)

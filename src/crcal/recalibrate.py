@@ -8,10 +8,11 @@ repair triggers. Temperature scaling instead fits one exponent beta per
 grid time, applied to the full probability vector (survival plus events,
 so each recalibrated vector sums to one), that minimizes the summed
 marginal gaps; one batched search fits a slice of grid times together in
-a few (K+1) x n x d float64 arrays. A large fit splits the grid times into
-one contiguous slice per worker (see ``data._workers``) and fits the
-slices in parallel; each time's beta depends on its own column only, so
-the bits do not depend on the split.
+a few (K+1) x d x n float64 arrays, samples innermost. A mean prediction
+is numpy's pairwise sum over one (event, time) row of contiguous samples,
+divided by n. A large fit splits the grid times into one contiguous slice
+per worker (see ``data._workers``) and fits the slices in parallel; a
+slice keeps every row whole, so the bits do not depend on the split.
 
 A fitted map is immutable and can be applied to any number of bundles.
 Each application projects its values back onto the feasible set (values
@@ -30,7 +31,7 @@ from functools import partial
 import numpy as np
 
 from .curves import aalen_johansen
-from .data import CifBundle, Cohort, TimeGrid, _run_shares, _sample_mean, _workers, check_aligned, check_event, step_values
+from .data import CifBundle, Cohort, TimeGrid, _run_shares, _workers, check_aligned, step_values
 from .errors import ValidationError
 
 AJ_OFFSET = "aj_offset"
@@ -39,7 +40,7 @@ TEMPERATURE = "temperature"
 _LOGIT_EPS = 1e-12
 _BETA_GRID = np.logspace(-3.0, 3.0, 61)
 _IDENTITY_SLACK = 1e-10
-# elements of the (K+1, n, d) vectors that each share of a split TS fit must
+# elements of the (K+1, d, n) vectors that each share of a split TS fit must
 # hold: below about this many, thread start-up and the interpreter lock cost
 # more than a second core saves (2-core Xeon, d = 65, K = 3, split in two:
 # n = 200, 26k elements a share, 6% slower; n = 250, 33k, 12% faster)
@@ -165,19 +166,22 @@ def apply_offsets(bundle: CifBundle, rmap: RecalibrationMap) -> RecalibratedBund
     return RecalibratedBundle(bundle.grid, values, bundle.sample_ids, repairs)
 
 
-def _normalized_vectors(bundle: CifBundle, taus: np.ndarray) -> np.ndarray:
-    """Event-major (survival, events) probability vectors, shape (K+1, n, m)."""
-    preds = np.ascontiguousarray(bundle.values_at(taus).transpose(1, 0, 2))
+def _log_vectors(bundle: CifBundle, taus: np.ndarray) -> np.ndarray:
+    """Logs of the normalized (survival, events) probability vectors, shape
+    (K+1, d, n) for the d times taus: samples innermost."""
+    preds = np.ascontiguousarray(bundle.values_at(taus).transpose(1, 2, 0))
     surv = np.clip(1.0 - preds.sum(axis=0), 0.0, None)
     p = np.concatenate([surv[None], preds])
-    return p / p.sum(axis=0)
+    p /= p.sum(axis=0)
+    p += _LOGIT_EPS
+    return np.log(p, out=p)
 
 
-def _power_scale(log_p: np.ndarray, top: np.ndarray, beta, z=None, totals=None) -> np.ndarray:
-    """Event shares, shape (K, n, m), of the event-major log vectors log_p
-    (K+1, n, m), survival first, raised to beta per time and renormalized.
-    ``top`` is log_p.max(axis=0): fl(beta x) is monotone in x for beta > 0.
-    ``z`` (K+1, n, m) and ``totals`` (n, m) are buffers for the work, or None."""
+def _power_scale(log_p: np.ndarray, top: np.ndarray, beta: np.ndarray, z=None, totals=None) -> np.ndarray:
+    """Event shares, shape (K, d, n), of the log vectors log_p (K+1, d, n),
+    survival first, raised to beta, shape (d, 1), and renormalized. ``top``
+    is log_p.max(axis=0): fl(beta x) is monotone in x for beta > 0. ``z``
+    (K+1, d, n) and ``totals`` (d, n) are buffers for the work, or None."""
     z = np.multiply(beta, log_p, out=z)
     z -= np.multiply(beta, top, out=totals)
     np.exp(z, out=z)
@@ -194,17 +198,19 @@ def fit_temperature(cal_cohort: Cohort, cal_bundle: CifBundle, grid: TimeGrid) -
     A beta of exactly 1 is kept whenever it is within numerical slack of
     the optimum, so already-calibrated inputs are left untouched. The grid
     times are split into contiguous slices, one per worker but each with at
-    least _SHARE_SIZE of the (K+1) x n x d vectors, fitted in parallel; a
+    least _SHARE_SIZE of the (K+1) x d x n vectors, fitted in parallel; a
     slice's times are fitted together, each gap evaluation scoring all of
-    them at once in buffers made once per slice. Every time's beta is the
-    same, to the bit, however the times are split.
+    them at once in buffers made once per slice. A gap's mean prediction
+    sums each (event, time) row over its contiguous samples, pairwise, and
+    a slice keeps every row whole, so every time's beta is the same, to the
+    bit, however the times are split.
     """
     _check_fit_inputs(cal_cohort, cal_bundle, grid)
     curves = aalen_johansen(cal_cohort)
     targets = curves.cifs_at(grid.times)
-    log_p = np.log(_normalized_vectors(cal_bundle, grid.times) + _LOGIT_EPS)
+    log_p = _log_vectors(cal_bundle, grid.times)
     top = log_p.max(axis=0)
-    w = max(1, min(_workers(), log_p.shape[2], log_p.size // _SHARE_SIZE))
+    w = max(1, min(_workers(), grid.d, log_p.size // _SHARE_SIZE))
     betas = np.concatenate(_run_shares(_fit_columns, _shares(log_p, top, targets, w)))
     return RecalibrationMap(TEMPERATURE, grid, temperatures=betas)
 
@@ -213,11 +219,10 @@ def _shares(log_p: np.ndarray, top: np.ndarray, targets: np.ndarray, w: int) -> 
     """A TS fit's grid times cut into w contiguous slices: each slice's log
     vectors, their maxima and AJ targets, and the buffers of its gap
     evaluation, made here so that no pool thread allocates them."""
-    k1, n, d = log_p.shape
+    k1, d, n = log_p.shape
     cuts = [d * i // w for i in range(w + 1)]
     return [
-        (log_p[:, :, lo:hi], top[:, lo:hi], targets[:, lo:hi],
-         np.empty((k1, n, hi - lo)), np.empty((n, hi - lo)), np.empty((k1 - 1) * n * (hi - lo)))
+        (log_p[:, lo:hi], top[lo:hi], targets[:, lo:hi], np.empty((k1, hi - lo, n)), np.empty((hi - lo, n)))
         for lo, hi in zip(cuts, cuts[1:])
     ]
 
@@ -225,8 +230,8 @@ def _shares(log_p: np.ndarray, top: np.ndarray, targets: np.ndarray, w: int) -> 
 def _gap(share, beta) -> np.ndarray:
     """Summed marginal gap at each of a share's grid times after scaling
     with beta, a scalar or one value per time."""
-    log_p, top, targets, z, totals, copy = share
-    means = _sample_mean(_power_scale(log_p, top, beta, z, totals).transpose(1, 0, 2), copy)
+    log_p, top, targets, z, totals = share
+    means = _power_scale(log_p, top, np.reshape(beta, (-1, 1)), z, totals).mean(axis=2)
     return np.abs(means - targets).sum(axis=0)
 
 
@@ -273,8 +278,8 @@ def apply_temperature(bundle: CifBundle, rmap: RecalibrationMap) -> Recalibrated
         raise ValidationError("map method mismatch: expected temperatures")
     taus = bundle.grid.times
     beta = step_values(rmap.grid.times, rmap.temperatures, taus, 1.0)
-    log_p = np.log(_normalized_vectors(bundle, taus) + _LOGIT_EPS)
-    events = np.ascontiguousarray(_power_scale(log_p, log_p.max(axis=0), beta).transpose(1, 0, 2))
+    log_p = _log_vectors(bundle, taus)
+    events = np.ascontiguousarray(_power_scale(log_p, log_p.max(axis=0), beta[:, None]).transpose(2, 0, 1))
     # an underflowed survival coordinate would leave the event sum at
     # exactly one; keep the same headroom as the projection repairs
     sums = events.sum(axis=1, keepdims=True)
@@ -285,22 +290,3 @@ def apply_temperature(bundle: CifBundle, rmap: RecalibrationMap) -> Recalibrated
         events = np.where(saturated, events * factor, events)
     values, repairs = _feasible_projection(events)
     return RecalibratedBundle(bundle.grid, values, bundle.sample_ids, repairs + extra)
-
-
-def upper_predictive_bound(
-    bundle: CifBundle, k: int, gamma: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample earliest grid time with normalized CIF at least 1 - gamma.
-
-    Returns the times and an "open" flag per sample; when the threshold is
-    never reached the time falls back to t_max with the flag set.
-    """
-    if not 0.0 < gamma < 1.0:
-        raise ValidationError("gamma must lie in (0, 1)")
-    check_event(k, bundle.k_events)
-    ratio = bundle.values[:, k - 1, :] / bundle.values[:, k - 1, -1:]
-    hit = ratio >= 1.0 - gamma
-    open_flag = ~hit.any(axis=1)
-    first = np.argmax(hit, axis=1)
-    times = np.where(open_flag, bundle.grid.t_max, bundle.grid.times[first])
-    return times, open_flag

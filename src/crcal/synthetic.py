@@ -176,16 +176,15 @@ def _hazard_inverse(lams: np.ndarray, shapes: np.ndarray, target: float, hi: np.
     return hi
 
 
-def _integrand(lams, shapes, s, out, eos, qs=None):
-    """Integrands f_k(s) at positive nodes, written into ``out``; with a
-    ``qs`` buffer also the event sum that their derivatives need.
+def _integrand(lams, shapes, s):
+    """Integrands f_k(s) and their derivatives f_k'(s) at positive nodes.
 
-    lams, shapes: (c, K); s, the scratch ``eos`` and qs: (c, m) with s > 0;
-    out: (c, K, m). Everything derives from one power per event and node,
-    P_j = (s / L_j)^(S_j): with Q_j = S_j P_j and qs = sum_j Q_j,
+    lams, shapes: (c, K); s: (c, m) with s > 0; both results (c, K, m).
+    Everything derives from one power per event and node,
+    P_j = (s / L_j)^(S_j): with Q_j = S_j P_j,
 
         f_k  = Q_k / s * exp(-sum_j P_j),
-        f_k' = f_k * ((S_k - 1) - qs) / s.
+        f_k' = f_k * ((S_k - 1) - sum_j Q_j) / s.
 
     Overflowing P (far past the survival support) is clamped; there the
     exponential factor drives f below 1e-20, which the quadrature treats
@@ -193,19 +192,12 @@ def _integrand(lams, shapes, s, out, eos, qs=None):
     """
     sh = shapes[:, :, None]
     with np.errstate(over="ignore"):
-        np.divide(s[:, None, :], lams[:, :, None], out=out)
-        np.power(out, sh, out=out)
-        np.minimum(out, 1e300, out=out)
-        out.sum(axis=1, out=eos)
-        np.minimum(eos, 745.0, out=eos)
-        np.negative(eos, out=eos)
-        np.exp(eos, out=eos)
-        eos /= s
-        out *= sh                        # out now holds Q_k = S_k P_k
-        if qs is not None:
-            out.sum(axis=1, out=qs)
-        out *= eos[:, None, :]
-    return out
+        q = np.minimum(np.power(s[:, None, :] / lams[:, :, None], sh), 1e300)
+        eos = np.exp(-np.minimum(q.sum(axis=1), 745.0)) / s
+        q *= sh                          # q now holds Q_k = S_k P_k
+        f = q * eos[:, None, :]
+        fp = (sh - 1.0 - q.sum(axis=1)[:, None, :]) * f / s[:, None, :]
+    return f, fp
 
 
 def _workspace(c: int, k: int) -> dict:
@@ -286,7 +278,6 @@ def _block_values(lams, shapes, read_times, s1, s_hi, base):
     its domain at s_hi. Each sum is read with Euler-Maclaurin endpoint
     corrections and a partial-panel trapezoid.
     """
-    c, k = lams.shape
     m = read_times.shape[1]
     dv = 1.0 / N_HEAD
     db = (s_hi - s1) / N_BODY
@@ -297,10 +288,7 @@ def _block_values(lams, shapes, read_times, s1, s_hi, base):
     v_lo = i0 * dv
     s_lo = np.where(in_head, s1[:, None] * v_lo**3, s1[:, None] + (i0 - N_HEAD) * db[:, None])
     extras = np.maximum(np.concatenate([s_lo, read_times, s1[:, None], s_hi[:, None]], axis=1), 1e-300)
-    qs = np.empty((c, 2 * m + 2))
-    f_x = _integrand(lams, shapes, extras, np.empty((c, k, 2 * m + 2)), np.empty_like(qs), qs)
-    with np.errstate(over="ignore"):
-        fp_x = (shapes[:, :, None] - 1.0 - qs[:, None, :]) * f_x / extras[:, None, :]
+    f_x, fp_x = _integrand(lams, shapes, extras)
     f_lo, f_t = f_x[:, :, :m], f_x[:, :, m:2 * m]
     fp_lo = fp_x[:, :, :m]
     f_s1, fp_s1 = f_x[:, :, 2 * m], fp_x[:, :, 2 * m]

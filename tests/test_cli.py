@@ -468,7 +468,6 @@ class TestParser:
             "--alpha": (float, 2.0, False),
             "--rho-steps": (int, 100, False),
             "--level": (float, 0.05, False),
-            "--seed": (int, None, False),
             "--out": (Path, None, True),
         },
         "recalibrate": {

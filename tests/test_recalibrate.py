@@ -26,9 +26,8 @@ from crcal.recalibrate import (
     apply_temperature,
     fit_aj_offsets,
     fit_temperature,
-    upper_predictive_bound,
 )
-from crcal.synthetic import WeibullConfig, generate_cohort, oracle_bundle, square_distort, survival_horizon
+from crcal.synthetic import WeibullConfig, generate_cohort, oracle_bundle, square_distort
 
 
 def aj_replicated_case(n=40, seed=0, k=2):
@@ -44,12 +43,13 @@ def aj_replicated_case(n=40, seed=0, k=2):
 
 
 def power_mean_gap(log_p, targets, beta):
-    """Summed marginal gap after scaling all (n, K+1) vectors with exponent beta."""
+    """Summed marginal gap after scaling all (n, K+1) vectors with exponent
+    beta; each event's mean is the pairwise sum of its contiguous column."""
     z = beta * log_p
     z -= z.max(axis=1, keepdims=True)
     e = np.exp(z)
     g = e / e.sum(axis=1, keepdims=True)
-    return float(np.abs(g[:, 1:].mean(axis=0) - targets).sum())
+    return float(np.abs(np.ascontiguousarray(g[:, 1:].T).mean(axis=1) - targets).sum())
 
 
 def golden_section(fun, lo, hi, tol=1e-6):
@@ -419,12 +419,13 @@ class TestSplitFit:
         assert np.any(fits[0] != 1.0)
 
     # a gap differs from another in its last bits long before a golden
-    # section comparison flips, so the gap itself is compared: slices of one
-    # time sum their samples as the whole does, for K = 1 (pairwise) and K = 3
-    @pytest.mark.parametrize("k, d", [(1, 7), (3, 7), (1, 2), (3, 1)])
+    # section comparison flips, so the gap itself is compared: in the fit's
+    # (K+1, d, n) layout a slice of times sums each (event, time) row of
+    # samples as the whole does
+    @pytest.mark.parametrize("k, d", [(1, 7), (2, 7), (3, 7), (1, 2), (3, 1)])
     def test_gap_does_not_depend_on_the_slices(self, k, d):
         rng = np.random.default_rng(k * d)
-        p = rng.dirichlet(np.ones(k + 1), (200, d)).transpose(2, 0, 1)
+        p = np.ascontiguousarray(rng.dirichlet(np.ones(k + 1), (d, 200)).transpose(2, 0, 1))
         log_p = np.log(p + _LOGIT_EPS)
         targets = rng.uniform(0.0, 1.0 / (k + 1), (k, d))
         whole = rc._shares(log_p, log_p.max(axis=0), targets, 1)[0]
@@ -498,47 +499,3 @@ class TestRecalibrationMap:
         grid = TimeGrid(np.array([1.0, 2.0]))
         with pytest.raises(ValidationError, match=f"^{message}$"):
             RecalibrationMap(method, grid, **fields)
-
-
-class TestUpperPredictiveBound:
-    def _bundle(self):
-        grid = np.array([1.0, 2.0, 3.2, 4.0])
-        vals = np.array([[[0.1, 0.5, 0.95, 1.0]], [[0.3, 0.8, 0.9, 1.0]]])
-        return make_bundle(grid, vals)
-
-    def test_threshold_crossing(self):
-        bundle = self._bundle()
-        times, open_flag = upper_predictive_bound(bundle, 1, gamma=0.05)
-        assert times[0] == 3.2
-        assert not open_flag.any()
-
-    def test_tiny_threshold_hits_first_time(self):
-        bundle = self._bundle()
-        times, _ = upper_predictive_bound(bundle, 1, gamma=0.999)
-        assert np.all(times == 1.0)
-
-    def test_terminal_always_reaches(self):
-        # the normalized ratio is exactly 1 at t_max, so bounds never stay open
-        bundle = self._bundle()
-        times, open_flag = upper_predictive_bound(bundle, 1, gamma=1e-9)
-        assert np.all(times == 4.0)
-        assert not open_flag.any()
-
-    def test_gamma_domain(self):
-        with pytest.raises(ValidationError):
-            upper_predictive_bound(self._bundle(), 1, gamma=0.0)
-
-    def test_oracle_coverage_uncensored(self):
-        # with true CIFs the bound covers the event with probability 1 - gamma
-        cfg = WeibullConfig(censoring_scale=1e12)
-        cohort, latents = generate_cohort(cfg, 8000, seed=31)
-        grid_times = np.unique(np.quantile(cohort.times, np.linspace(0.002, 1.0, 300)))
-        grid = TimeGrid(np.append(grid_times, survival_horizon(latents)))
-        bundle = oracle_bundle(latents, grid, cohort.ids)
-        gamma = 0.1
-        for k in (1, 2, 3):
-            bounds, open_flag = upper_predictive_bound(bundle, k, gamma)
-            assert not open_flag.any()
-            mask = cohort.events == k
-            coverage = (cohort.times[mask] <= bounds[mask]).mean()
-            assert coverage >= 1 - gamma - 0.01

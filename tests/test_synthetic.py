@@ -103,7 +103,7 @@ def reference_chunk_values(lams, shapes, read_times, ws):
     np.multiply((s_hi - s1)[:, None], ws["w"][None, :], out=s_nodes[:, n_head:])
     s_nodes[:, n_head:] += s1[:, None]
     np.maximum(s_nodes, 1e-300, out=s_nodes)
-    f = syn._integrand(lams, shapes, s_nodes, ws["fbuf"][:c], ws["eos"][:c])
+    f = buffered_f_nodes(lams, shapes, s_nodes, ws["fbuf"][:c], ws["eos"][:c])
 
     g = f[:, :, :n_head] * (1.5 * dv) * s1[:, None, None] * ws["v2"][None, None, :]
     incr = ws["incr"][:c]
@@ -127,10 +127,7 @@ def reference_chunk_values(lams, shapes, read_times, ws):
     v_lo = i0 * dv
     s_lo = np.where(in_head, s1[:, None] * v_lo**3, s1[:, None] + (i0 - n_head) * db[:, None])
     extras = np.maximum(np.concatenate([s_lo, read_times, s1[:, None], s_hi[:, None]], axis=1), 1e-300)
-    qs = np.empty((c, 2 * m + 2))
-    f_x = syn._integrand(lams, shapes, extras, np.empty((c, k, 2 * m + 2)), np.empty_like(qs), qs)
-    with np.errstate(over="ignore"):
-        fp_x = (shapes[:, :, None] - 1.0 - qs[:, None, :]) * f_x / extras[:, None, :]
+    f_x, fp_x = f_and_fprime(lams, shapes, extras)
     f_lo, f_t = f_x[:, :, :m], f_x[:, :, m:2 * m]
     fp_lo = fp_x[:, :, :m]
     f_s1, fp_s1 = f_x[:, :, 2 * m], fp_x[:, :, 2 * m]
@@ -208,17 +205,10 @@ class TestIntegrandKernel:
     @given(integrand_nodes())
     def test_matches_old_kernels(self, case):
         lams, shapes, s = case
-        c, k = lams.shape
-        qs = np.empty_like(s)
-        f = syn._integrand(lams, shapes, s, np.empty((c, k, s.shape[1])), np.empty_like(s), qs)
+        f, fp = syn._integrand(lams, shapes, s)
         want_f, want_fp = f_and_fprime(lams, shapes, s)
-        assert np.array_equal(f, want_f)
+        assert np.array_equal(f, want_f) and np.array_equal(fp, want_fp)
         assert np.array_equal(f, buffered_f_nodes(lams, shapes, s, np.empty_like(f), np.empty_like(s)))
-        assert np.array_equal(syn._integrand(lams, shapes, s, np.empty_like(f), np.empty_like(s)), want_f)
-        # the derivative the oracle's endpoint corrections form from the pair
-        with np.errstate(over="ignore"):
-            fp = (shapes[:, :, None] - 1.0 - qs[:, None, :]) * f / s[:, None, :]
-        assert np.array_equal(fp, want_fp)
 
 
 class TestGenerate:
