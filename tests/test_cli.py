@@ -42,6 +42,20 @@ class TestSimulateAndMetrics:
         assert set(report["d_cal"]["per_event"]) == {"1", "2", "3"}
         assert report["tests"]["d_cal"]["overall_passed"] in (True, False)
 
+    # metrics draws nothing at random, so it takes no seed and reports none
+    def test_metrics_report_seed_is_null(self, tmp_path):
+        run(["simulate", "--n", 60, "--seed", 4, "--out", tmp_path, "--grid-size", 8])
+        args = ["metrics", "--cohort", tmp_path / "cohort.csv", "--bundle", tmp_path / "oracle_bundle.csv"]
+        assert run([*args, "--out", tmp_path / "report.json"]) == 0
+        assert json.loads((tmp_path / "report.json").read_text())["seed"] is None
+
+    def test_metrics_takes_no_seed(self, tmp_path, capsys):
+        run(["simulate", "--n", 60, "--seed", 4, "--out", tmp_path, "--grid-size", 8])
+        args = ["metrics", "--cohort", tmp_path / "cohort.csv", "--bundle", tmp_path / "oracle_bundle.csv"]
+        assert run([*args, "--seed", 4, "--out", tmp_path / "report.json"]) == 2
+        assert capsys.readouterr().err == "error: unrecognized arguments: --seed 4\n"
+        assert not (tmp_path / "report.json").exists()
+
     def test_validation_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("id,time,event\n1,-2.0,1\n")
@@ -529,6 +543,14 @@ class TestBench:
             splits = json.loads((d / "splits.json").read_text())
             assert splits["disjoint"]
             assert not (set(splits["cal_ids"]) & set(splits["test_ids"]))
+
+    def test_bench_reports_carry_their_seed(self, tmp_path):
+        (tmp_path / "bench.json").write_text('{"n": 300, "model": "oracle", "grid_size": 8, "seed": 5}')
+        assert run(["bench", "--config", tmp_path / "bench.json", "--seeds", 2, "--out", tmp_path / "out"]) == 0
+        for seed in (5, 6):
+            for variant in ("base", "aj", "ts"):
+                report = json.loads((tmp_path / "out" / f"seed_{seed}" / f"report_{variant}.json").read_text())
+                assert report["seed"] == seed
 
     def test_bench_model_defaults_to_aj(self, tmp_path):
         # a config without "model" benches the AJ marginal model

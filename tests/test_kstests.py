@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,35 @@ class TestDCalTest:
         assert tests["2"]["not_testable"] is True and tests["2"]["D"] is None
         assert "not_testable" not in tests["1"]
 
+    def test_untestable_event_is_data_not_a_warning(self):
+        # the report's not_testable entry names the event; nothing is warned
+        cohort, bundle = uniform_ratio_case(12)
+        values = np.concatenate(
+            [bundle.values * (1.0 - 2e-6), np.full_like(bundle.values, 1e-6)], axis=1
+        )
+        two_event = make_bundle(bundle.grid.times, values, cohort.ids)
+        two_cohort = make_cohort(cohort.times, cohort.events, k=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results, _ = d_cal_test(two_event, two_cohort)
+            tests = calibration_report(two_event, two_cohort).to_dict()["tests"]["d_cal"]
+        assert not results[2].testable
+        assert tests["2"]["not_testable"] is True
+
+    def test_all_censored_cohort_is_reported_without_warnings(self):
+        # no event occurs, so every event of both tests is untestable
+        n = 20
+        rng = np.random.default_rng(0)
+        cohort = make_cohort(np.arange(1.0, n + 1), np.zeros(n, dtype=int), k=2)
+        vals = np.sort(rng.uniform(0.0, 0.45, (n, 2, 4)), axis=2)
+        bundle = make_bundle([2.0, 5.0, 10.0, 20.0], vals, cohort.ids)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tests = calibration_report(bundle, cohort).to_dict()["tests"]
+        for name in ("d_cal", "pi_cal"):
+            for k in ("1", "2"):
+                assert tests[name][k]["not_testable"] is True and tests[name][k]["n"] == 0
+
     def test_statistic_matches_metric_sup_norm(self):
         rng = np.random.default_rng(7)
         for trial in range(10):
@@ -170,3 +200,13 @@ class TestPiCalTest:
         bundle = make_bundle([1.0, 3.0], vals, cohort.ids)
         results, overall = pi_cal_test(bundle, curves, cohort)
         assert not results[2].testable
+
+    def test_untestable_event_is_data_not_a_warning(self):
+        cohort = make_cohort([1, 2, 3], [1, 1, 1], k=2)
+        curves = aalen_johansen(cohort)
+        vals = np.ones((3, 2, 2)) * np.array([[[0.2, 0.4], [0.1, 0.2]]])
+        bundle = make_bundle([1.0, 3.0], vals, cohort.ids)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results, _ = pi_cal_test(bundle, curves, cohort)
+        assert results[1].testable and not results[2].testable
