@@ -39,6 +39,7 @@ TEMPERATURE = "temperature"
 
 _LOGIT_EPS = 1e-12
 _BETA_GRID = np.logspace(-3.0, 3.0, 61)
+_BETA_ONE = _BETA_GRID.tolist().index(1.0)  # the scan's beta of exactly 1
 _IDENTITY_SLACK = 1e-10
 # elements of the (K+1, d, n) vectors that each share of a split TS fit must
 # hold: below about this many, thread start-up and the interpreter lock cost
@@ -244,7 +245,8 @@ def _fit_columns(share) -> np.ndarray:
         return gap(np.fromiter(map(math.exp, lb), float, lb.size))
 
     log_grid = np.log(_BETA_GRID)
-    best = np.array([gap(b) for b in _BETA_GRID]).argmin(axis=0)
+    scan = np.array([gap(b) for b in _BETA_GRID])
+    best = scan.argmin(axis=0)
     a = log_grid[np.maximum(best - 1, 0)]
     b = log_grid[np.minimum(best + 1, log_grid.size - 1)]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -262,7 +264,7 @@ def _fit_columns(share) -> np.ndarray:
         x1[lo], f1[lo] = probe[lo], f[lo]
         x2[hi], f2[hi] = probe[hi], f[hi]
     betas = np.fromiter(map(math.exp, 0.5 * (a + b)), float, a.size)
-    betas[gap(1.0) <= gap(betas) + _IDENTITY_SLACK] = 1.0
+    betas[scan[_BETA_ONE] <= gap(betas) + _IDENTITY_SLACK] = 1.0
     return betas
 
 

@@ -15,15 +15,15 @@ substituted head piece (absorbs the s^(S-1) origin behavior for shapes
 below 2) and a uniform body piece, both with Euler-Maclaurin endpoint
 corrections; the domain is truncated where H exceeds 40 (mass below
 e^-40). Absolute error is below 1e-6 across the configured ranges.
-The oracle sets up every sample's mesh at once. Its table blocks are dealt
-round-robin to the workers (see ``data._run_shares``), each with its own
-workspace, allocated up front; each worker's blocks hold _BLOCK // workers
-rows, so the workspaces hold at most _BLOCK rows together. A table block
-writes each read's sum over the panels below it into the output. Then the
-calling thread, with the workspaces freed, adds each read's endpoint
-corrections and partial panel in tiles of at most _READ cells. A value
-depends only on its own row, so the output is bitwise the same for any
-worker count and block size.
+The oracle sets up every sample's mesh at once. Its table blocks go to the
+workers (see ``data._run_shares``), each worker taking the next block when
+it is done with one, with a workspace of its own allocated up front; each
+worker's blocks hold _BLOCK // workers rows, so the workspaces hold at most
+_BLOCK rows together. A table block writes each read's sum over the panels
+below it into the output. Then, with the workspaces freed, the same workers
+add each read's endpoint corrections and partial panel in tiles of at most
+_READ // workers cells. A value depends only on its own row, so the output
+is bitwise the same for any worker count, block and tile size.
 Beside its output and two length-n vectors the oracle holds under 10 MB
 whatever n is. ``oracle_values``, which ``oracle_cif`` and ``oracle_bundle`` reach, and
 ``oracle_survival`` take finite, nonnegative read times; others raise ValidationError.
@@ -31,6 +31,7 @@ whatever n is. ``oracle_values``, which ``oracle_cif`` and ``oracle_bundle`` rea
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,8 @@ from .errors import ValidationError
 N_HEAD = 512
 N_BODY = 1536
 H_CUT = 40.0
-_BLOCK = 32  # rows of the table blocks live at once, across all workers
-_READ = 8192  # (row, read time) cells of each read tile
+_BLOCK = 64  # rows of the table blocks live at once, across all workers
+_READ = 8192  # (row, read time) cells of the read tiles live at once, across all workers
 
 DEFAULT_SCALE_RANGES = ((0.4, 0.9), (1.0, 1.0), (1.2, 3.0))
 DEFAULT_SHAPE_RANGES = ((1.0, 20.0), (1.0, 10.0), (1.5, 5.0))
@@ -200,17 +201,14 @@ def _integrand(lams, shapes, s):
     return f, fp
 
 
-def _workspace(c: int, k: int) -> dict:
-    """Preallocated node buffers reused across row blocks of up to c samples."""
+def _workspaces(w: int, c: int, k: int) -> list:
+    """w sets of node buffers, each reused across row blocks of up to c
+    samples; they share one set of mesh constants."""
     v = np.linspace(0.0, 1.0, N_HEAD + 1)[1:]
-    return {
-        "log_v3": 3.0 * np.log(v),
-        "head_w": 1.5 / N_HEAD / v,
-        "w": np.linspace(0.0, 1.0, N_BODY + 1),
-        "log_s": np.empty((c, N_HEAD + N_BODY + 1)),
-        "eos": np.empty((c, N_HEAD + N_BODY + 1)),
-        "nodes": np.zeros((c, k, N_HEAD + N_BODY + 2)),  # a zero, then the weighted nodes
-    }
+    mesh = {"log_v3": 3.0 * np.log(v), "head_w": 1.5 / N_HEAD / v, "w": np.linspace(0.0, 1.0, N_BODY + 1)}
+    return [{**mesh, "log_s": np.empty((c, N_HEAD + N_BODY + 1)),
+             "nodes": np.zeros((c, k, N_HEAD + N_BODY + 2))}  # a zero, then the weighted nodes
+            for _ in range(w)]
 
 
 def _positions(read_times, s1, s_hi):
@@ -239,16 +237,21 @@ def _panel_sums(lams, shapes, read_times, s1, s_hi, ws, out):
     c, k = lams.shape
     log_s = ws["log_s"][:c]
     np.add(np.log(s1)[:, None], ws["log_v3"], out=log_s[:, :N_HEAD])
-    np.log(s1[:, None] + (s_hi - s1)[:, None] * ws["w"], out=log_s[:, N_HEAD:])
+    body = log_s[:, N_HEAD:]  # built in place: two temporaries here were 0.8 MB a worker
+    np.multiply((s_hi - s1)[:, None], ws["w"], out=body)
+    body += s1[:, None]
+    np.log(body, out=body)
     nodes = ws["nodes"][:c]
     p = nodes[:, :, 1:]
     np.subtract(log_s[:, None, :], np.log(lams)[:, :, None], out=p)
     p *= shapes[:, :, None]
     np.exp(p, out=p)  # P_k = (s / L_k)^S_k, at most H_CUT at nodes up to s_hi
     # per node: exp(-H) / s times the panel weight, the head's 1 / s = 1 / (s1 v^3)
-    # folded with its Jacobian 3 s1 v^2 and half panel dv / 2 into 1.5 dv / v
-    eos = p.sum(axis=1, out=ws["eos"][:c])
-    eos[:, N_HEAD:] += log_s[:, N_HEAD:]
+    # folded with its Jacobian 3 s1 v^2 and half panel dv / 2 into 1.5 dv / v;
+    # log s is spent, so its storage takes H on the head and H + log s on the body
+    eos = log_s
+    eos[:, N_HEAD:] += p[:, :, N_HEAD:].sum(axis=1)
+    p[:, :, :N_HEAD].sum(axis=1, out=eos[:, :N_HEAD])
     np.exp(np.negative(eos, out=eos), out=eos)
     eos[:, :N_HEAD] *= ws["head_w"]
     eos[:, N_HEAD:] *= (0.5 / N_BODY * (s_hi - s1))[:, None]
@@ -356,29 +359,39 @@ def oracle_values(latents, read_times: np.ndarray) -> np.ndarray:
     # the output only the (n,) meshes grow with n
     del lams, shapes
     out = np.empty((n, k, m))
-    # each worker's table blocks hold _BLOCK // w rows, so the workspaces
-    # hold at most _BLOCK rows together
     w = min(_workers(), _BLOCK)
+
+    def deal(fn, rows, cols, spaces):
+        # one worker per space, at most one per tile, each taking the output's
+        # next (rows, cols) tile until none is left: the workers finish
+        # together however fast each runs
+        tiles = [(slice(i, i + rows), slice(j, j + cols)) for i in range(0, n, rows) for j in range(0, m, cols)]
+        spaces = spaces[:len(tiles)]
+        lock, tiles = threading.Lock(), iter(tiles)
+
+        def take():
+            with lock:
+                return next(tiles, None)
+
+        def share(space):
+            while tile := take():
+                r, t = tile
+                lams, shapes = latent_arrays(latents[r])
+                fn(lams, shapes, np.ascontiguousarray(read_times[r, t]), s1[r], s_hi[r], *space, out[r, :, t])
+
+        _run_shares(share, spaces)
+
+    # each worker's table blocks hold _BLOCK // w rows, so the workspaces
+    # hold at most _BLOCK rows together. They are made here, in the calling
+    # thread: workers that made their own, in malloc arenas of their own,
+    # raised the peak RSS of eight n = 2000 bench seeds by 4%
     size = _BLOCK // w
-    w = min(w, -(-n // size))
-
-    def blocks(fn, size, starts, cols, *ws):
-        for start in starts:
-            rows = slice(start, start + size)
-            lams, shapes = latent_arrays(latents[rows])
-            for t in (slice(j, j + cols) for j in range(0, m, cols)):
-                fn(lams, shapes, np.ascontiguousarray(read_times[rows, t]), s1[rows], s_hi[rows], *ws, out[rows, :, t])
-
-    # worker i takes blocks i, i + w, ...; the workspaces are made here, in
-    # the calling thread: workers that made their own, in malloc arenas of
-    # their own, raised the peak RSS of eight n = 2000 bench seeds by 4%
-    _run_shares(lambda share: blocks(_panel_sums, size, *share),
-                [(range(i * size, n, w * size), m, _workspace(min(n, size), k)) for i in range(w)])
-    # the reads run here once the workspaces are freed, in tiles of at most
-    # _READ cells: their temporaries, per cell the largest, have the memory
-    # to themselves, and on two threads the reads were no faster
-    size = max(1, _READ // m)
-    blocks(_block_values, size, range(0, n, size), min(m, _READ))
+    deal(_panel_sums, size, m, [(ws,) for ws in _workspaces(min(w, -(-n // size)), min(n, size), k)])
+    # the reads run once the workspaces are freed, in tiles of at most
+    # _READ // w cells: their temporaries, per cell the largest, have the
+    # memory to themselves
+    cells = max(1, _READ // w)
+    deal(_block_values, max(1, cells // m), min(m, cells), [()] * w)
     return out
 
 
@@ -422,8 +435,19 @@ def survival_horizon(latents, eps: float = 1e-6) -> float:
         if not low.any():
             break
         upper[low] *= 2.0
-    cut = _hazard_inverse(lams, shapes, target, upper)
-    return float(cut.max())
+    # _hazard_inverse's bisection, less each sample whose bracket lies below
+    # another's: its top can no longer be the maximum, and a survivor's steps
+    # are its own, so the maximum keeps its bits
+    lo, hi = np.zeros_like(upper), upper
+    for _ in range(70):
+        keep = hi >= lo.max()
+        if not keep.all():
+            lams, shapes, lo, hi = lams[keep], shapes[keep], lo[keep], hi[keep]
+        mid = 0.5 * (lo + hi)
+        over = _cum_hazard(lams, shapes, mid) > target
+        hi = np.where(over, mid, hi)
+        lo = np.where(over, lo, mid)
+    return float(hi.max())
 
 
 def oracle_grid(cohort: Cohort, latents, d: int) -> TimeGrid:

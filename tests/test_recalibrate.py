@@ -397,7 +397,7 @@ class TestSplitFit:
     # each case holds at least two shares' worth of the (K+1) x n x d vectors
     # and so is split on two or more CPUs, except d = 1, which cannot split;
     # d = 3 on three CPUs and d = 2 on two are slices of one time, fewer
-    # times than seven CPUs, and K = 1 takes the pairwise sample mean
+    # times than seven CPUs, and K = 1 leaves one event row per time
     @pytest.mark.parametrize("k, d, n", [(3, 65, 1000), (3, 3, 8192), (3, 1, 1000), (1, 65, 1000), (1, 2, 16384)])
     def test_betas_do_not_depend_on_the_worker_count(self, k, d, n):
         config = WeibullConfig(WeibullConfig().scale_ranges[:k], WeibullConfig().shape_ranges[:k])

@@ -1,4 +1,5 @@
 import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -188,6 +189,33 @@ def oracle_reads(draw):
     return latents, times
 
 
+def unpruned_horizon(latents, eps):
+    """survival_horizon's slow form: the doubled brackets, then _hazard_inverse
+    over every sample."""
+    lams, shapes = syn.latent_arrays(latents)
+    target = float(-np.log(eps))
+    upper = np.full(len(latents), 1.0)
+    for _ in range(200):
+        low = syn._cum_hazard(lams, shapes, upper) < target
+        if not low.any():
+            break
+        upper[low] *= 2.0
+    return float(syn._hazard_inverse(lams, shapes, target, upper).max())
+
+
+@st.composite
+def horizon_cases(draw):
+    """Latent records of n samples and K events, some of them repeated, so
+    that samples tie, and an eps in (0, 1)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, k = draw(st.integers(1, 300)), draw(st.integers(1, 4))
+    lams = rng.uniform(0.05, 5.0, (n, k))
+    shapes = rng.uniform(1.0, 20.0, (n, k))
+    rows = rng.integers(0, n, n) if draw(st.booleans()) else np.arange(n)
+    latents = [LatentRecord(tuple(lams[i]), tuple(shapes[i]), 1.0, 1, 1.0) for i in rows]
+    return latents, draw(st.floats(1e-15, 0.999))
+
+
 @st.composite
 def integrand_nodes(draw):
     """Weibull parameters of c samples and K events with positive nodes that
@@ -344,6 +372,13 @@ class TestOracleBundle:
         bundle = oracle_bundle(latents, TimeGrid(np.array([0.5, horizon])))
         assert bundle.values[:, :, -1].sum(axis=1).min() >= 1 - 1e-5
 
+    # the search drops each sample whose bracket lies below another's
+    @settings(max_examples=100, deadline=None)
+    @given(horizon_cases())
+    def test_horizon_equals_the_unpruned_search(self, case):
+        latents, eps = case
+        assert survival_horizon(latents, eps) == unpruned_horizon(latents, eps)
+
     @pytest.mark.parametrize("eps", [0.0, 1.0, 2.0, -1.0, np.nan])
     def test_horizon_rejects_eps_outside_zero_one(self, eps):
         _, latents = generate_cohort(WeibullConfig(), 200, seed=10)
@@ -417,6 +452,23 @@ class TestAgainstReferenceOracle:
             if workers is not None:
                 patch.setattr(syn, "_workers", lambda: workers)
             got = oracle_values(latents, times)
+        assert np.array_equal(got, want)
+
+    def test_every_tile_is_taken_once_under_frequent_switches(self, monkeypatch):
+        # seven workers share 1-row blocks and 3-cell read tiles while the
+        # interpreter switches threads every microsecond
+        _, latents = generate_cohort(WeibullConfig(), 120, seed=16)
+        grid = np.linspace(0.0, 5.0, 9)
+        want = oracle_values(latents, grid)
+        monkeypatch.setattr(syn, "_BLOCK", 7)
+        monkeypatch.setattr(syn, "_READ", 21)
+        monkeypatch.setattr(syn, "_workers", lambda: 7)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = oracle_values(latents, grid)
+        finally:
+            sys.setswitchinterval(interval)
         assert np.array_equal(got, want)
 
     # the oracle adds each row's panels in segments between its reads, the
