@@ -143,7 +143,7 @@ def step_values(grid_times: np.ndarray, values: np.ndarray, t, before: float = 0
 
 
 # threads a kernel runs on at most. Two are measured: on a 2-core Xeon the
-# oracle at n = 10,000 on a 65-time grid takes 788 ms on one and 536 ms on
+# oracle at n = 10,000 on a 65-time grid takes 793 ms on one and 527 ms on
 # two (README, "CPUs"). More are not: many of the oracle's and the TS fit's
 # short numpy calls hold the interpreter lock, so a third thread may add
 # little. The cap also keeps a CPU quota, which the affinity mask does not
@@ -171,6 +171,15 @@ def _run_shares(fn, shares: list) -> list:
         return [fn(shares[0]), *(future.result() for future in rest)]
 
 
+def _one_row(values: np.ndarray) -> bool:
+    """Whether every sample's (K, d) row has the bits of row 0: at once for a
+    stride-0 view, after row 1 alone when it differs, else in one pass."""
+    if values.strides[0] == 0 or len(values) < 2:
+        return True
+    bits = values.view(np.uint64)
+    return bool(np.array_equal(bits[1], bits[0]) and (bits[2:] == bits[0]).all())
+
+
 @dataclass(frozen=True)
 class CifBundle:
     """Per-sample, per-event CIF values on a common grid.
@@ -179,7 +188,9 @@ class CifBundle:
     experiences event ``k`` by grid time ``j``. Values are validated to be
     probabilities, nondecreasing in time, jointly bounded by one, and
     strictly positive at the terminal grid time (every event must remain
-    possible for every sample).
+    possible for every sample). A model that predicts one row for every
+    sample may give its values as a stride-0 view of that row, which is
+    checked once; nothing writes into a bundle's values.
     """
 
     grid: TimeGrid
@@ -198,6 +209,8 @@ class CifBundle:
             raise ValidationError("bundle values do not match grid length")
         if len(self.sample_ids) != n:
             raise ValidationError("sample_ids must align with values")
+        if values.strides[0] == 0:
+            values = values[:1]
         lo, hi = values.min(), values.max()
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValidationError("non-finite CIF value")
@@ -224,8 +237,10 @@ class CifBundle:
         return step_values(self.grid.times, self.values, t)
 
     def mean_at(self, t: np.ndarray) -> np.ndarray:
-        """Across-sample mean CIFs at arbitrary times, shape (K, len(t))."""
-        return step_values(self.grid.times, self.values.mean(axis=0), t)
+        """Across-sample mean CIFs at arbitrary times, shape (K, len(t)); the
+        one row itself when every row is the same."""
+        mean = self.values[0] if _one_row(self.values) else self.values.mean(axis=0)
+        return step_values(self.grid.times, mean, t)
 
     def values_at_own_times(self, t: np.ndarray) -> np.ndarray:
         """Step-evaluate each sample's CIFs at its own time, shape (n, K)."""
@@ -501,17 +516,23 @@ def _field_blocks(csv_text: str):
 def bundle_to_csv(bundle: CifBundle) -> str:
     """Serialize a bundle; inverse of :func:`parse_bundle`. Each grid time and
     each (sample, event) head is formatted once, and the rows are joined a
-    slice of samples at a time, so no list of every row is held."""
+    slice of samples at a time, so no list of every row is held. The cifs
+    of a bundle whose rows are all the same are formatted once, as one row."""
     n, k, d = bundle.values.shape
     times = [f",{t}," for t in map(_fmt, bundle.grid.times.tolist())]
     heads = [f"{sid},{ev}" for sid in map(_csv_id, bundle.sample_ids) for ev in range(1, k + 1)]
-    values = bundle.values.reshape(n * k, d)
     step = max(1, _ROWS // d)
+    # tolist gives Python floats, on which format(x, ".17g") is _fmt(x)
+    one = _one_row(bundle.values)
+    if one:  # each slice takes the next len(slice) * d cifs of the row, cycled
+        row = cycle(map(format, bundle.values[0].ravel().tolist(), repeat(".17g")))
+    else:
+        values = bundle.values.reshape(n * k, d)
     parts = [",".join(_BUNDLE_COLUMNS)]
     for i in range(0, n * k, step):
-        prefixes = map(add, chain.from_iterable(map(repeat, heads[i : i + step], repeat(d))), cycle(times))
-        # tolist gives Python floats, on which format(x, ".17g") is _fmt(x)
-        cifs = map(format, values[i : i + step].ravel().tolist(), repeat(".17g"))
+        lines = heads[i : i + step]
+        prefixes = map(add, chain.from_iterable(map(repeat, lines, repeat(d))), cycle(times))
+        cifs = islice(row, len(lines) * d) if one else map(format, values[i : i + step].ravel().tolist(), repeat(".17g"))
         parts.append("\n".join(map(add, prefixes, cifs)))
     return "\n".join([*parts, ""])
 

@@ -18,15 +18,20 @@ e^-40). Absolute error is below 1e-6 across the configured ranges.
 The oracle sets up every sample's mesh at once. Its table blocks go to the
 workers (see ``data._run_shares``), each worker taking the next block when
 it is done with one, with a workspace of its own allocated up front; each
-worker's blocks hold _BLOCK // workers rows, so the workspaces hold at most
-_BLOCK rows together. A table block writes each read's sum over the panels
-below it into the output. Then, with the workspaces freed, the same workers
-add each read's endpoint corrections and partial panel in tiles of at most
-_READ // workers cells. A value depends only on its own row, so the output
-is bitwise the same for any worker count, block and tile size.
+worker's blocks hold _BLOCK // workers rows (half of _BLOCK on one worker),
+so the workspaces hold at most _BLOCK rows together. A table block writes
+each read's sum over the panels below it into the output. Then, with the
+workspaces freed, the same workers add each read's endpoint corrections and
+partial panel in tiles of at most _READ // workers cells. A value depends
+only on its own row, so the output is bitwise the same for any worker
+count, block and tile size.
 Beside its output and two length-n vectors the oracle holds under 10 MB
-whatever n is. ``oracle_values``, which ``oracle_cif`` and ``oracle_bundle`` reach, and
-``oracle_survival`` take finite, nonnegative read times; others raise ValidationError.
+whatever n is, on read grids of up to 513 times: a table block's sort,
+segment and sum temporaries grow with its rows times the read times, so
+the bound depends on the number of read times as well as on n.
+``oracle_values``, which ``oracle_cif`` and ``oracle_bundle`` reach, and
+``oracle_survival`` take finite, nonnegative read times; others raise
+ValidationError.
 """
 
 from __future__ import annotations
@@ -382,10 +387,12 @@ def oracle_values(latents, read_times: np.ndarray) -> np.ndarray:
         _run_shares(share, spaces)
 
     # each worker's table blocks hold _BLOCK // w rows, so the workspaces
-    # hold at most _BLOCK rows together. They are made here, in the calling
-    # thread: workers that made their own, in malloc arenas of their own,
-    # raised the peak RSS of eight n = 2000 bench seeds by 4%
-    size = _BLOCK // w
+    # hold at most _BLOCK rows together. A lone worker's blocks hold half
+    # that: a 64-row workspace (4.2 MB) overflows a 2 MB L2 and ran 5%
+    # slower. The workspaces are made here, in the calling thread: workers
+    # that made their own, in malloc arenas of their own, raised the peak
+    # RSS of eight n = 2000 bench seeds by 4%
+    size = max(1, _BLOCK // max(w, 2))
     deal(_panel_sums, size, m, [(ws,) for ws in _workspaces(min(w, -(-n // size)), min(n, size), k)])
     # the reads run once the workspaces are freed, in tiles of at most
     # _READ // w cells: their temporaries, per cell the largest, have the

@@ -543,6 +543,14 @@ class TestOracleMemory:
         assert grid.d == 65
         assert _peak_beside_output(lambda: oracle_bundle(latents, grid).values) < 10e6
 
+    def test_fine_read_grid_stays_under_the_bound(self):
+        # a table block's sort, segment and sum temporaries grow with its
+        # rows times the read times, so the bound is also checked on a
+        # 513-time grid
+        _, latents = generate_cohort(WeibullConfig(), 2048, seed=14)
+        grid = np.linspace(0.05, 4.0, 513)
+        assert _peak_beside_output(lambda: oracle_values(latents, grid)) < 10e6
+
 
 class TestOracleWorkerMemory:
     # the workers' blocks share _BLOCK rows, so more workers than the cap

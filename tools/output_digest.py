@@ -14,7 +14,9 @@ moved, to the last bit. Each line is ``<label> <sha256>``. The set:
 - ``c_index/<k>/<tau>``: ``cr_c_index`` of the distorted pool-0 bundle at
   every event and the default horizons, as ``float.hex``;
 - ``bench/<file>``: every file of a 2-seed ``crcal bench`` tree
-  (n = 2000, distorted model, seed 3000);
+  (n = 2000, distorted model, seed 3000); ``bench/aj_model/<file>``, the
+  same with the default model, the AJ marginal replicated for every sample,
+  from seed 3002 (seed 3001 stops with exit 3 on this model);
 - ``files/<file>``: every file of the CLI pipeline simulate, aj
   --replicate-for, recalibrate --method ts, recalibrate --method aj (into
   ``recal_aj/``), metrics, evaluate (n = 200 + 150, seeds 1000 and 2000);
@@ -141,6 +143,8 @@ def cli_outputs(work: Path) -> list[tuple[str, str]]:
     config = work / "bench.json"
     config.write_text(json.dumps({"n": 2000, "model": "distorted", "seed": 3000}))
     run("bench", "--config", str(config), "--seeds", "2", "--out", str(work / "bench"))
+    config.write_text(json.dumps({"n": 2000, "seed": 3002}))
+    run("bench", "--config", str(config), "--seeds", "2", "--out", str(work / "bench_aj"))
 
     w = work / "files"
     train, test = w / "train", w / "test"
@@ -157,7 +161,7 @@ def cli_outputs(work: Path) -> list[tuple[str, str]]:
     recal = str(w / "recal" / "recalibrated_bundle.csv")
     run("metrics", "--cohort", str(test / "cohort.csv"), "--bundle", recal, "--out", str(w / "metrics.json"))
     run("evaluate", "--cohort", str(test / "cohort.csv"), "--bundle", recal, "--out", str(w / "evaluation.json"))
-    return _tree("bench", work / "bench") + _tree("files", w) + printed
+    return _tree("bench", work / "bench") + _tree("bench/aj_model", work / "bench_aj") + _tree("files", w) + printed
 
 
 COHORT = ["id,time,event", "a,1.0,1", "b,2.0,0", "c,3.0,1"]
