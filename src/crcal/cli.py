@@ -97,6 +97,8 @@ def cmd_simulate(args) -> tuple[dict[Path, str | dict], str]:
 def cmd_aj(args) -> tuple[dict[Path, str | dict], str]:
     if args.replicate_for and args.bundle_out is None:
         raise ValidationError("--replicate-for requires --bundle-out")
+    if args.bundle_out is not None and not args.replicate_for:
+        raise ValidationError("--bundle-out requires --replicate-for")
     cohort = parse_cohort(_read(args.cohort), args.k_events)
     curves = aalen_johansen(cohort)
     files = {args.out / "km.csv": curves.km.to_csv(), args.out / "censoring.csv": curves.censoring.to_csv()}

@@ -130,7 +130,6 @@ def marginal_bundle(curves: MarginalCurveSet, grid: TimeGrid, sample_ids) -> Cif
     """Bundle that predicts the population AJ curves for every sample.
 
     This is the Aalen-Johansen estimator used as a (covariate-free) model.
-    Its values are a read-only stride-0 view of the one (K, d) row.
     """
     vals = curves.cifs_at(grid.times)
     if np.any(vals[:, -1] <= 0.0):

@@ -188,9 +188,10 @@ class CifBundle:
     experiences event ``k`` by grid time ``j``. Values are validated to be
     probabilities, nondecreasing in time, jointly bounded by one, and
     strictly positive at the terminal grid time (every event must remain
-    possible for every sample). A model that predicts one row for every
-    sample may give its values as a stride-0 view of that row, which is
-    checked once; nothing writes into a bundle's values.
+    possible for every sample). Values whose rows all have the bits of row
+    0 (:func:`_one_row`), such as a model that predicts one row for every
+    sample, are stored as a stride-0 view of a copy of that row, and
+    :attr:`rows` gives the distinct rows. ``values`` is a read-only view.
     """
 
     grid: TimeGrid
@@ -199,7 +200,6 @@ class CifBundle:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
         if values.ndim != 3:
             raise ValidationError("bundle values must have shape (n, K, d)")
         n, k, d = values.shape
@@ -209,8 +209,10 @@ class CifBundle:
             raise ValidationError("bundle values do not match grid length")
         if len(self.sample_ids) != n:
             raise ValidationError("sample_ids must align with values")
-        if values.strides[0] == 0:
-            values = values[:1]
+        # broadcast_to returns a read-only view, of the same array or of the row
+        values = np.broadcast_to(values[0].copy() if _one_row(values) else values, values.shape)
+        object.__setattr__(self, "values", values)
+        values = self.rows
         lo, hi = values.min(), values.max()
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValidationError("non-finite CIF value")
@@ -232,15 +234,18 @@ class CifBundle:
     def k_events(self) -> int:
         return self.values.shape[1]
 
+    @property
+    def rows(self) -> np.ndarray:
+        """The distinct rows: shape (1, K, d) for a bundle stored as one row, else every row."""
+        return self.values[:1] if self.values.strides[0] == 0 else self.values
+
     def values_at(self, t: np.ndarray) -> np.ndarray:
         """Step-evaluate all CIFs at arbitrary times, shape (n, K, len(t))."""
         return step_values(self.grid.times, self.values, t)
 
     def mean_at(self, t: np.ndarray) -> np.ndarray:
-        """Across-sample mean CIFs at arbitrary times, shape (K, len(t)); the
-        one row itself when every row is the same."""
-        mean = self.values[0] if _one_row(self.values) else self.values.mean(axis=0)
-        return step_values(self.grid.times, mean, t)
+        """Across-sample mean CIFs at arbitrary times, shape (K, len(t))."""
+        return step_values(self.grid.times, self.rows.mean(axis=0), t)
 
     def values_at_own_times(self, t: np.ndarray) -> np.ndarray:
         """Step-evaluate each sample's CIFs at its own time, shape (n, K)."""
@@ -515,17 +520,17 @@ def _field_blocks(csv_text: str):
 
 def bundle_to_csv(bundle: CifBundle) -> str:
     """Serialize a bundle; inverse of :func:`parse_bundle`. Each grid time and
-    each (sample, event) head is formatted once, and the rows are joined a
-    slice of samples at a time, so no list of every row is held. The cifs
-    of a bundle whose rows are all the same are formatted once, as one row."""
+    each (sample, event) head is formatted once, each of the bundle's
+    :attr:`~CifBundle.rows` is formatted once, and the rows are joined a
+    slice of samples at a time, so no list of every row is held."""
     n, k, d = bundle.values.shape
     times = [f",{t}," for t in map(_fmt, bundle.grid.times.tolist())]
     heads = [f"{sid},{ev}" for sid in map(_csv_id, bundle.sample_ids) for ev in range(1, k + 1)]
     step = max(1, _ROWS // d)
     # tolist gives Python floats, on which format(x, ".17g") is _fmt(x)
-    one = _one_row(bundle.values)
+    one = len(bundle.rows) == 1
     if one:  # each slice takes the next len(slice) * d cifs of the row, cycled
-        row = cycle(map(format, bundle.values[0].ravel().tolist(), repeat(".17g")))
+        row = cycle(map(format, bundle.rows.ravel().tolist(), repeat(".17g")))
     else:
         values = bundle.values.reshape(n * k, d)
     parts = [",".join(_BUNDLE_COLUMNS)]

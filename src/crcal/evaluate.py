@@ -176,7 +176,9 @@ def brier_scores(
     out = np.empty((bundle.k_events, taus.size))
     for k in range(bundle.k_events):
         # (len(taus), n) predictions of one event, turned in place into the
-        # weighted squared errors
+        # weighted squared errors. step_values lays the times outermost, so
+        # each time's samples are contiguous and its mean is numpy's
+        # pairwise sum, not the in-order sum a C-order read would give
         err = step_values(bundle.grid.times, bundle.values[:, k, :], taus).T
         err -= done & (events == k + 1)
         err *= err

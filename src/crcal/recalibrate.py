@@ -13,8 +13,7 @@ is numpy's pairwise sum over one (event, time) row of contiguous samples,
 divided by n. A large fit splits the grid times into one contiguous slice
 per worker (see ``data._workers``) and fits the slices in parallel; a
 slice keeps every row whole, so the bits do not depend on the split.
-A bundle whose rows are all the same, such as a replicated AJ marginal,
-is fitted and recalibrated on its one row.
+Fits and applications read a bundle's distinct ``rows``.
 
 A fitted map is immutable and can be applied to any number of bundles.
 Each application projects its values back onto the feasible set (values
@@ -33,7 +32,7 @@ from functools import partial
 import numpy as np
 
 from .curves import aalen_johansen
-from .data import CifBundle, Cohort, TimeGrid, _one_row, _run_shares, _workers, check_aligned, step_values
+from .data import CifBundle, Cohort, TimeGrid, _run_shares, _workers, check_aligned, step_values
 from .errors import ValidationError
 
 AJ_OFFSET = "aj_offset"
@@ -91,18 +90,11 @@ class RecalibratedBundle(CifBundle):
     repairs: int = 0
 
 
-def _rows(bundle: CifBundle) -> np.ndarray:
-    """The bundle's values, or its row 0 alone, shape (1, K, d), when every
-    row has the bits of row 0."""
-    return bundle.values[:1] if _one_row(bundle.values) else bundle.values
-
-
 def _recalibrated(bundle: CifBundle, rows: np.ndarray, repairs: int) -> RecalibratedBundle:
-    """``bundle`` with the recalibrated values of its :func:`_rows`; one row
-    is broadcast to every sample, and its repairs count once per sample."""
-    if len(rows) < bundle.n:
-        rows, repairs = np.broadcast_to(rows, bundle.values.shape), repairs * bundle.n
-    return RecalibratedBundle(bundle.grid, rows, bundle.sample_ids, repairs)
+    """``bundle`` with the recalibrated values of its ``rows``, broadcast to
+    every sample; a row's repairs count once per sample it stands for."""
+    values = np.broadcast_to(rows, bundle.values.shape)
+    return RecalibratedBundle(bundle.grid, values, bundle.sample_ids, repairs * (bundle.n // len(rows)))
 
 
 def _check_fit_inputs(cal_cohort: Cohort, cal_bundle: CifBundle, grid: TimeGrid):
@@ -173,21 +165,20 @@ def apply_offsets(bundle: CifBundle, rmap: RecalibrationMap) -> RecalibratedBund
 
     Before the first offset time no correction applies. The result carries
     its repair count; with zero repairs it equals the plain shift bitwise.
-    A bundle whose rows are all the same is shifted as its one row.
     """
     if rmap.method != AJ_OFFSET:
         raise ValidationError("map method mismatch: expected additive offsets")
     if bundle.k_events + 1 != rmap.offsets.shape[0]:
         raise ValidationError("offset rows do not match the bundle events")
     shift = step_values(rmap.grid.times, rmap.offsets[1:], bundle.grid.times)
-    return _recalibrated(bundle, *_feasible_projection(_rows(bundle) + shift[None, :, :]))
+    return _recalibrated(bundle, *_feasible_projection(bundle.rows + shift[None, :, :]))
 
 
 def _log_vectors(bundle: CifBundle, taus: np.ndarray) -> np.ndarray:
     """Logs of the normalized (survival, events) probability vectors of the
-    bundle's :func:`_rows`, shape (K+1, d, m) for the d times taus and the
-    m rows: samples innermost."""
-    preds = np.ascontiguousarray(step_values(bundle.grid.times, _rows(bundle), taus).transpose(1, 2, 0))
+    bundle's ``rows``, shape (K+1, d, m) for the d times taus and the m
+    rows: samples innermost."""
+    preds = np.ascontiguousarray(step_values(bundle.grid.times, bundle.rows, taus).transpose(1, 2, 0))
     surv = np.clip(1.0 - preds.sum(axis=0), 0.0, None)
     p = np.concatenate([surv[None], preds])
     p /= p.sum(axis=0)
@@ -221,8 +212,7 @@ def fit_temperature(cal_cohort: Cohort, cal_bundle: CifBundle, grid: TimeGrid) -
     them at once in buffers made once per slice. A gap's mean prediction
     sums each (event, time) row over its contiguous samples, pairwise, and
     a slice keeps every row whole, so every time's beta is the same, to the
-    bit, however the times are split. A bundle whose rows are all the same
-    is fitted on its one row, whose shares are then the means themselves.
+    bit, however the times are split.
     """
     _check_fit_inputs(cal_cohort, cal_bundle, grid)
     curves = aalen_johansen(cal_cohort)
@@ -292,8 +282,7 @@ def apply_temperature(bundle: CifBundle, rmap: RecalibrationMap) -> Recalibrated
     Beta is step-extended over the bundle grid and treated as 1 before the
     first fitted time; the event coordinates of the scaled vector become
     the new CIFs, then the feasibility projection restores monotonicity.
-    The result carries its repair count, saturated sums included. A bundle
-    whose rows are all the same is rescaled as its one row.
+    The result carries its repair count, saturated sums included.
     """
     if rmap.method != TEMPERATURE:
         raise ValidationError("map method mismatch: expected temperatures")

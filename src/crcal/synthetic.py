@@ -18,13 +18,14 @@ e^-40). Absolute error is below 1e-6 across the configured ranges.
 The oracle sets up every sample's mesh at once. Its table blocks go to the
 workers (see ``data._run_shares``), each worker taking the next block when
 it is done with one, with a workspace of its own allocated up front; each
-worker's blocks hold _BLOCK // workers rows (half of _BLOCK on one worker),
-so the workspaces hold at most _BLOCK rows together. A table block writes
-each read's sum over the panels below it into the output. Then, with the
-workspaces freed, the same workers add each read's endpoint corrections and
-partial panel in tiles of at most _READ // workers cells. A value depends
-only on its own row, so the output is bitwise the same for any worker
-count, block and tile size.
+worker's blocks hold _BLOCK // workers rows (half of _BLOCK on one worker,
+which halves its memory, not its time), so the workspaces hold at most
+_BLOCK rows together. A table block writes each read's sum over the
+panels below it into the output. Then, with the workspaces freed, the
+same workers add each read's endpoint corrections and partial panel in
+tiles of at most _READ // workers cells. A value depends only on its own
+row, so the output is bitwise the same for any worker count, block and
+tile size.
 Beside its output and two length-n vectors the oracle holds under 10 MB
 whatever n is, on read grids of up to 513 times: a table block's sort,
 segment and sum temporaries grow with its rows times the read times, so
@@ -388,10 +389,12 @@ def oracle_values(latents, read_times: np.ndarray) -> np.ndarray:
 
     # each worker's table blocks hold _BLOCK // w rows, so the workspaces
     # hold at most _BLOCK rows together. A lone worker's blocks hold half
-    # that: a 64-row workspace (4.2 MB) overflows a 2 MB L2 and ran 5%
-    # slower. The workspaces are made here, in the calling thread: workers
-    # that made their own, in malloc arenas of their own, raised the peak
-    # RSS of eight n = 2000 bench seeds by 4%
+    # that for memory, not speed: its traced peak beside the output at
+    # n = 2048 fell from 5.22 to 3.58 MB at 65 read times and from 8.87 to
+    # 4.51 MB at 513, and its time stayed (800 against 793 ms at n = 10,000).
+    # The workspaces are made here, in the calling thread: workers that made
+    # their own, in malloc arenas of their own, raised the peak RSS of eight
+    # n = 2000 bench seeds by 4%
     size = max(1, _BLOCK // max(w, 2))
     deal(_panel_sums, size, m, [(ws,) for ws in _workspaces(min(w, -(-n // size)), min(n, size), k)])
     # the reads run once the workspaces are freed, in tiles of at most

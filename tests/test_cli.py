@@ -232,6 +232,7 @@ class TestAjCommand:
 
     @pytest.mark.parametrize("target, more, message", [
         ("cohort.csv", [], "error: --replicate-for requires --bundle-out\n"),
+        (None, ["--bundle-out", "bundle.csv"], "error: --bundle-out requires --replicate-for\n"),
         ("missing.csv", ["--bundle-out", "bundle.csv"], "error: cannot read missing.csv: "),
         # the bundle's target is checked before any file is staged; Path("") is "."
         ("cohort.csv", ["--bundle-out", ""], "error: cannot write .: "),
@@ -241,7 +242,8 @@ class TestAjCommand:
     def test_a_failing_replication_writes_nothing(self, tmp_path, monkeypatch, capsys, target, more, message):
         monkeypatch.chdir(tmp_path)
         Path("cohort.csv").write_text("id,time,event\na,1.0,1\nb,2.0,0\nc,3.0,1\n")
-        code = run(["aj", "--cohort", "cohort.csv", "--out", "curves", "--k-events", 1, "--replicate-for", target, *more])
+        replicate = [] if target is None else ["--replicate-for", target]
+        code = run(["aj", "--cohort", "cohort.csv", "--out", "curves", "--k-events", 1, *replicate, *more])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -660,6 +660,37 @@ class TestOneRow:
             for values in (as_view(row, len(ids)), as_view(row, len(ids)).copy()):
                 assert bundle_to_csv(CifBundle(grid, values, ids)) == want
 
+    @given(replicated())
+    def test_a_replicated_copy_is_stored_as_its_row(self, case):
+        grid, row, ids = case
+        values = as_view(row, len(ids)).copy()
+        bundle = CifBundle(grid, values, ids)
+        assert bundle.values.shape == values.shape and bundle.values.strides[0] == 0
+        assert len(bundle.rows) == 1 and bits(bundle.rows) == bits(row)
+        assert not np.shares_memory(bundle.values, values)
+        with pytest.raises(ValueError):
+            bundle.values[-1, 0, 0] = 0.5
+
+    @given(replicated(), st.data())
+    def test_a_later_row_that_differs_keeps_every_row(self, case, draws):
+        # the first time's cif moves down by one ulp, or from 0.0 to -0.0,
+        # which keeps the bundle valid
+        grid, row, ids = case
+        assume(len(ids) > 1)
+        values = as_view(row, len(ids)).copy()
+        cell = (draws.draw(st.integers(1, len(ids) - 1)), draws.draw(st.integers(0, len(row) - 1)), 0)
+        values[cell] = -0.0 if values[cell] == 0.0 else np.nextafter(values[cell], 0.0)
+        bundle = CifBundle(grid, values, ids)
+        assert bundle.rows.shape == values.shape and bits(bundle.rows) == bits(values)
+        with pytest.raises(ValueError):
+            bundle.values[0, 0, 0] = 0.5
+
+    @given(replicated())
+    def test_a_parsed_replicated_csv_is_stored_as_its_row(self, case):
+        grid, row, ids = case
+        bundle = parse_bundle(reference_bundle_to_csv(CifBundle(grid, as_view(row, len(ids)).copy(), ids)), len(row))
+        assert bundle.values.strides[0] == 0 and len(bundle.rows) == 1 and bits(bundle.rows) == bits(row)
+
 
 class TestBundleEvaluation:
     def setup_method(self):
@@ -729,7 +760,9 @@ class TestStepValues:
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
             assert not np.shares_memory(got, values)
         # times outermost, as the where form lays them out (a stride of a
-        # length-1 axis says nothing about the layout)
+        # length-1 axis says nothing about the layout): brier_scores takes
+        # .T of a read, so each time's samples are contiguous and its mean is
+        # numpy's pairwise sum; a C-order read would sum them in order
         got = data.step_values(grid, values, np.asarray(t), before)
         want = where_step_values(grid, values, np.asarray(t), before)
         assert [s for s, n in zip(got.strides, got.shape) if n > 1] == [

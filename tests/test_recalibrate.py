@@ -415,8 +415,7 @@ def replicated_cases(draw):
 def full_rows(fn, *args):
     """``fn(*args)`` with the one-row paths off, so that every row is read."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(rc, "_one_row", lambda values: False)
-        patch.setattr(data, "_one_row", lambda values: False)
+        patch.setattr(data.CifBundle, "rows", property(lambda b: b.values))
         return fn(*args)
 
 

@@ -22,6 +22,10 @@ moved, to the last bit. Each line is ``<label> <sha256>``. The set:
   ``recal_aj/``), metrics, evaluate (n = 200 + 150, seeds 1000 and 2000);
 - ``stdout/recalibrate_<method>``: the line each recalibrate run prints,
   which carries its repair count, with the scratch directory masked;
+- ``edge/replicated_scored_bundle/<file>``: ``metrics``, ``evaluate`` and
+  ``recalibrate --method aj|ts`` (with the lines those print) with the
+  ``files`` pipeline's parsed ``aj_bundle.csv`` as the scored, calibration
+  and test bundle: a replicated bundle read from CSV, scored and repaired;
 - ``error/<cohort|bundle>/<fault>``: the exit code and stderr of ``crcal
   metrics`` on a fixed set of malformed cohort and bundle CSVs, each read
   beside a valid file of the other kind, so the parsers' error path is
@@ -57,7 +61,8 @@ moved, to the last bit. Each line is ``<label> <sha256>``. The set:
   run's own directory, for malformed command lines (a non-numeric
   ``--rho-steps``, ``--n`` or ``--alpha``, a missing ``--out``, an unknown
   subcommand, ``--horizons`` of ``1.0,`` or the empty string), runs that
-  fail after some work (``aj --replicate-for`` without ``--bundle-out``, a
+  fail after some work (``aj --replicate-for`` without ``--bundle-out`` and
+  ``--bundle-out`` without ``--replicate-for``, a
   bench whose test level is 2, a bench of an unknown model), runs whose
   later output cannot be written (``aj --bundle-out ""``, ``simulate``
   whose ``oracle_bundle.csv`` and ``evaluate`` whose
@@ -161,7 +166,17 @@ def cli_outputs(work: Path) -> list[tuple[str, str]]:
     recal = str(w / "recal" / "recalibrated_bundle.csv")
     run("metrics", "--cohort", str(test / "cohort.csv"), "--bundle", recal, "--out", str(w / "metrics.json"))
     run("evaluate", "--cohort", str(test / "cohort.csv"), "--bundle", recal, "--out", str(w / "evaluation.json"))
-    return _tree("bench", work / "bench") + _tree("bench/aj_model", work / "bench_aj") + _tree("files", w) + printed
+
+    # the parsed replicated bundle as the bundle that is scored and recalibrated
+    rep, cohort, bundle = work / "replicated", str(test / "cohort.csv"), str(w / "aj_bundle.csv")
+    run("metrics", "--cohort", cohort, "--bundle", bundle, "--out", str(rep / "metrics.json"))
+    run("evaluate", "--cohort", cohort, "--bundle", bundle, "--out", str(rep / "evaluation.json"))
+    for method in ("aj", "ts"):
+        line = run("recalibrate", "--method", method, "--cal-cohort", cohort, "--cal-bundle", bundle,
+                   "--test-bundle", bundle, "--out", str(rep / f"recal_{method}"))
+        printed.append((f"edge/replicated_scored_bundle/stdout/recalibrate_{method}", _sha(line)))
+    return (_tree("bench", work / "bench") + _tree("bench/aj_model", work / "bench_aj") + _tree("files", w)
+            + printed + _tree("edge/replicated_scored_bundle", rep))
 
 
 COHORT = ["id,time,event", "a,1.0,1", "b,2.0,0", "c,3.0,1"]
@@ -464,6 +479,8 @@ def cli_edge_outputs(work: Path) -> list[tuple[str, str]]:
         "evaluate_horizons_empty": ("evaluate", *scored, "--horizons", "", "--out", "out.json"),
         "aj_replicate_without_bundle_out": ("aj", "--k-events", "1", "--cohort", cohort, "--out", "out",
                                             "--replicate-for", cohort),
+        "aj_bundle_out_without_replicate": ("aj", "--k-events", "1", "--cohort", cohort, "--out", "out",
+                                            "--bundle-out", "out.json"),
         "bench_level_two": ("bench", "--config", work / "bench_level_two.json", "--seeds", "1", "--out", "out"),
         "bench_unknown_model": ("bench", "--config", work / "bench_unknown_model.json", "--seeds", "1",
                                 "--out", "out"),
