@@ -52,16 +52,24 @@ def _read(path: str) -> str:
         raise ValidationError(f"cannot read {path}: {exc}") from None
 
 
-def _write_all(files: dict[Path, str | dict]) -> None:
-    """Write every file as UTF-8, or none: encode each value that is not text as strict JSON,
-    stage each file as ``<name>.part`` beside its target, rename them into place once all are
-    written, and on a failure remove what was staged or made."""
-    texts = {}
+def _bundle(path: str, k_events: int) -> CifBundle:
+    """The bundle file at ``path``: the one place a command reads the bundle format."""
+    return parse_bundle(_read(path), k_events)
+
+
+def _write_all(files: dict[Path, str | dict | CifBundle]) -> None:
+    """Write every file as UTF-8, or none. It takes over ``files``, replacing each value by its text
+    before the first file is staged: text as is, a bundle through ``bundle_to_csv`` (released once
+    encoded), anything else as strict JSON. Each file is staged as ``<name>.part`` beside its target,
+    renamed into place once all are written, and on a failure what was staged or made is removed."""
     for path, value in files.items():
-        try:
-            texts[path] = value if isinstance(value, str) else json.dumps(value, indent=2, allow_nan=False)
-        except ValueError as exc:  # a NaN or an infinity, which strict JSON readers reject
-            raise NumericError(f"cannot encode {path}: {exc}") from None
+        if isinstance(value, CifBundle):
+            value = files[path] = bundle_to_csv(value)  # value too: nothing holds the bundle once encoded
+        elif not isinstance(value, str):
+            try:
+                files[path] = json.dumps(value, indent=2, allow_nan=False)
+            except ValueError as exc:  # a NaN or an infinity, which strict JSON readers reject
+                raise NumericError(f"cannot encode {path}: {exc}") from None
     staged, made = [], []
     try:
         for path in files:  # Path("") is "."; a rename would replace a device or a pipe
@@ -69,7 +77,7 @@ def _write_all(files: dict[Path, str | dict]) -> None:
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
             if path.exists() and not path.is_file():
                 raise OSError("not a regular file")
-        for path, text in texts.items():
+        for path, text in files.items():
             made += [d for d in path.parents if not d.exists()][-1:]  # the outermost one this run makes
             path.parent.mkdir(parents=True, exist_ok=True)
             staged.append(part := path.with_name(path.name + ".part"))
@@ -84,20 +92,20 @@ def _write_all(files: dict[Path, str | dict]) -> None:
         raise ValidationError(f"cannot write {path}: {exc}") from None
 
 
-def cmd_simulate(args) -> tuple[dict[Path, str | dict], str]:
+def cmd_simulate(args) -> tuple[dict[Path, str | dict | CifBundle], str]:
     config = WeibullConfig(censoring_scale=args.censoring_scale)
     cohort, latents = generate_cohort(config, args.n, args.seed)
     grid = oracle_grid(cohort, latents, args.grid_size)
     bundle = oracle_bundle(latents, grid, cohort.ids)
-    files = {args.out / "cohort.csv": cohort_to_csv(cohort), args.out / "oracle_bundle.csv": bundle_to_csv(bundle),
+    files = {args.out / "cohort.csv": cohort_to_csv(cohort), args.out / "oracle_bundle.csv": bundle,
              args.out / "latents.csv": latents_to_csv(cohort.ids, latents)}
     return files, f"wrote cohort ({cohort.n} records), oracle bundle and latents to {args.out}"
 
 
-def cmd_aj(args) -> tuple[dict[Path, str | dict], str]:
-    if args.replicate_for and args.bundle_out is None:
+def cmd_aj(args) -> tuple[dict[Path, str | dict | CifBundle], str]:
+    if args.replicate_for is not None and args.bundle_out is None:
         raise ValidationError("--replicate-for requires --bundle-out")
-    if args.bundle_out is not None and not args.replicate_for:
+    if args.bundle_out is not None and args.replicate_for is None:
         raise ValidationError("--bundle-out requires --replicate-for")
     cohort = parse_cohort(_read(args.cohort), args.k_events)
     curves = aalen_johansen(cohort)
@@ -105,17 +113,16 @@ def cmd_aj(args) -> tuple[dict[Path, str | dict], str]:
     for k in range(1, cohort.k_events + 1):
         files[args.out / f"cif_{k}.csv"] = curves.cif(k).to_csv()
     message = f"wrote marginal curves to {args.out}"
-    if args.replicate_for:
+    if args.replicate_for is not None:
         target = parse_cohort(_read(args.replicate_for), args.k_events)
-        bundle = marginal_bundle(curves, quantile_grid(cohort, args.grid_size), target.ids)
-        files[args.bundle_out] = bundle_to_csv(bundle)
+        files[args.bundle_out] = marginal_bundle(curves, quantile_grid(cohort, args.grid_size), target.ids)
         message = f"wrote replicated bundle for {target.n} samples to {args.bundle_out}\n{message}"
     return files, message
 
 
-def cmd_metrics(args) -> tuple[dict[Path, str | dict], str]:
+def cmd_metrics(args) -> tuple[dict[Path, str | dict | CifBundle], str]:
     cohort = parse_cohort(_read(args.cohort), args.k_events)
-    bundle = parse_bundle(_read(args.bundle), args.k_events)
+    bundle = _bundle(args.bundle, args.k_events)
     params = MetricParams(alpha=args.alpha, rho_steps=args.rho_steps)
     report = calibration_report(bundle, cohort, params, args.level)
     message = f"d_cal total {report.total_d:.6f} | pi_cal total {report.total_pi:.6f} -> {args.out}"
@@ -141,18 +148,18 @@ def _recalibrate(
     return {**rmap.to_dict(), "clip_events": recal.repairs}, recal
 
 
-def cmd_recalibrate(args) -> tuple[dict[Path, str | dict], str]:
+def cmd_recalibrate(args) -> tuple[dict[Path, str | dict | CifBundle], str]:
     cal_cohort = parse_cohort(_read(args.cal_cohort), args.k_events)
-    cal_bundle = parse_bundle(_read(args.cal_bundle), args.k_events)
-    test_bundle = parse_bundle(_read(args.test_bundle), args.k_events)
+    cal_bundle = _bundle(args.cal_bundle, args.k_events)
+    test_bundle = _bundle(args.test_bundle, args.k_events)
     fitted, recal = _recalibrate(args.method, cal_cohort, cal_bundle, test_bundle, args.grid_size)
-    files = {args.out / "map.json": fitted, args.out / "recalibrated_bundle.csv": bundle_to_csv(recal)}
+    files = {args.out / "map.json": fitted, args.out / "recalibrated_bundle.csv": recal}
     return files, f"method {args.method}: {recal.repairs} repaired entries -> {args.out}"
 
 
-def cmd_evaluate(args) -> tuple[dict[Path, str | dict], str]:
+def cmd_evaluate(args) -> tuple[dict[Path, str | dict | CifBundle], str]:
     cohort = parse_cohort(_read(args.cohort), args.k_events)
-    bundle = parse_bundle(_read(args.bundle), args.k_events)
+    bundle = _bundle(args.bundle, args.k_events)
     result = evaluate_bundle(cohort, bundle, args.horizons)
     # the parent and stem, not with_suffix, which raises on a path with no name such as "."
     incidence = args.out.parent / f"{args.out.stem}.mean_incidence.csv"
@@ -280,7 +287,7 @@ def _summary_csv(summary: dict) -> str:
     return _table(["variant", "metric", "mean", "std"], rows)
 
 
-def cmd_bench(args) -> tuple[dict[Path, str | dict], str]:
+def cmd_bench(args) -> tuple[dict[Path, str | dict | CifBundle], str]:
     config = _bench_settings(_read(args.config))
     if args.seeds < 1:
         raise ValidationError("--seeds must be at least 1")

@@ -4,6 +4,7 @@ import math
 import os
 import stat
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -129,15 +130,17 @@ class TestSimulateAndMetrics:
         assert capsys.readouterr().err == "error: n = 100000000000000000000 is too large for an array\n"
         assert not (tmp_path / "out").exists()
 
-    # numpy's _ArrayMemoryError is a MemoryError; nothing is allocated here
+    # numpy's _ArrayMemoryError is a MemoryError; nothing is allocated here. It is raised
+    # while the command forms the bundle, or while the writer encodes it
+    @pytest.mark.parametrize("name", ["oracle_bundle", "bundle_to_csv"])
     @pytest.mark.parametrize("exc, message", [
         (MemoryError("Unable to allocate 745. GiB for an array"), "Unable to allocate 745. GiB for an array"),
         (MemoryError(), "out of memory"),
     ])
-    def test_memory_error_is_one_error_line(self, tmp_path, capsys, monkeypatch, exc, message):
+    def test_memory_error_is_one_error_line(self, tmp_path, capsys, monkeypatch, exc, message, name):
         def fail(*args):
             raise exc
-        monkeypatch.setattr(cli, "oracle_bundle", fail)
+        monkeypatch.setattr(cli, name, fail)
         assert run(["simulate", "--n", 20, "--seed", 1, "--out", tmp_path / "out"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
@@ -233,6 +236,9 @@ class TestAjCommand:
     @pytest.mark.parametrize("target, more, message", [
         ("cohort.csv", [], "error: --replicate-for requires --bundle-out\n"),
         (None, ["--bundle-out", "bundle.csv"], "error: --bundle-out requires --replicate-for\n"),
+        # an empty path is a path: given, and unreadable
+        ("", [], "error: --replicate-for requires --bundle-out\n"),
+        ("", ["--bundle-out", "bundle.csv"], "error: cannot read : "),
         ("missing.csv", ["--bundle-out", "bundle.csv"], "error: cannot read missing.csv: "),
         # the bundle's target is checked before any file is staged; Path("") is "."
         ("cohort.csv", ["--bundle-out", ""], "error: cannot write .: "),
@@ -300,6 +306,35 @@ class TestRecalibrateAndEvaluate:
         rmap = json.loads((tmp_path / f"recal_{method}" / "map.json").read_text())
         assert rmap["method"] == ("aj_offset" if method == "aj" else "temperature")
         assert (tmp_path / f"recal_{method}" / "recalibrated_bundle.csv").exists()
+
+    def test_an_encoded_bundle_is_released_before_staging(self, tmp_path, monkeypatch):
+        self._setup(tmp_path)
+        apply_temperature, write_text = cli.apply_temperature, Path.write_text
+        recal, alive = [], []
+
+        def apply(*args):
+            bundle = apply_temperature(*args)
+            recal.append(weakref.ref(bundle))
+            return bundle
+
+        def staged(path, *args, **kwargs):
+            alive.append(recal[0]() is not None)
+            return write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "apply_temperature", apply)
+        monkeypatch.setattr(Path, "write_text", staged)
+        code = run(
+            [
+                "recalibrate",
+                "--method", "ts",
+                "--cal-cohort", tmp_path / "cohort.csv",
+                "--cal-bundle", tmp_path / "aj_bundle.csv",
+                "--test-bundle", tmp_path / "oracle_bundle.csv",
+                "--out", tmp_path / "recal",
+            ]
+        )
+        assert code == 0
+        assert alive == [False, False]
 
     @pytest.mark.parametrize("method", ["aj", "ts"])
     def test_map_json_carries_the_printed_repair_count(self, tmp_path, capsys, method):

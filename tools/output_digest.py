@@ -1,11 +1,21 @@
-"""Print one SHA-256 per output of a fixed set of crcal runs.
+"""Print one SHA-256 per output of a fixed set of crcal runs, or how they moved.
 
     python3 tools/output_digest.py [ROOT] > digests.txt
+    python3 tools/output_digest.py [ROOT] --against OTHER
 
 ROOT is the checkout whose ``src/`` is imported (default: the checkout this
-script sits in), so the same script can digest an older tree. Running it on
-two checkouts and diffing the two listings shows which outputs a change
-moved, to the last bit. Each line is ``<label> <sha256>``. The set:
+script sits in), so the same script can digest an older tree. Each line is
+``<label> <sha256>``, and a change moved an output, to the last bit, where
+two checkouts' lines differ.
+
+``--against OTHER`` runs every case on OTHER and on ROOT, each in a fresh
+process, and lists how ROOT's outputs moved from OTHER's: each case whose
+digest moved, and in it each part that moved (a file, or the run's exit
+code and stderr), with its count of moved numbers and their largest
+relative and absolute move. A part that is JSON on both sides also gets its
+added and removed keys (dotted paths, ``[]`` for a list's items); the exit
+status is 1 when any key set changed. Against itself it reports nothing
+moved. The set:
 
 - ``score/<pool>/<model>/{report,evaluation}``: the calibration report and
   evaluation, as ``json.dumps(x.to_dict(), indent=2)``, of the benchmark's
@@ -62,7 +72,8 @@ moved, to the last bit. Each line is ``<label> <sha256>``. The set:
   ``--rho-steps``, ``--n`` or ``--alpha``, a missing ``--out``, an unknown
   subcommand, ``--horizons`` of ``1.0,`` or the empty string), runs that
   fail after some work (``aj --replicate-for`` without ``--bundle-out`` and
-  ``--bundle-out`` without ``--replicate-for``, a
+  ``--bundle-out`` without ``--replicate-for``, ``aj --replicate-for ""``
+  with and without ``--bundle-out``, a
   bench whose test level is 2, a bench of an unknown model), runs whose
   later output cannot be written (``aj --bundle-out ""``, ``simulate``
   whose ``oracle_bundle.csv`` and ``evaluate`` whose
@@ -83,30 +94,63 @@ the end.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import math
+import multiprocessing
 import os
+import re
+import struct
 import sys
 import tempfile
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from unittest import mock
+
+
+# a listing line's label and digest, with the texts a value diff compares, by part name
+Case = tuple[str, str, dict[str, str]]
 
 
 def _sha(data: str | bytes) -> str:
     return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
 
 
-def _tree(label: str, root: Path) -> list[tuple[str, str]]:
+def _case(label: str, data: str | bytes, parts: dict[str, str] | None = None) -> Case:
+    """The case of ``data``; its parts default to one part "" holding ``data``."""
+    if parts is None:
+        parts = {"": data if isinstance(data, str) else data.decode("utf-8", "replace")}
+    return label, _sha(data), parts
+
+
+def _raised(label: str, exc: BaseException) -> Case:
+    """The line of a case that raised where it should return: the exception's type, not a hash."""
+    text = f"raised {type(exc).__name__}"
+    return label, text, {"": text}
+
+
+def _floats(values) -> str:
+    """An array's shape and values as text, each value the shortest repr of its bits."""
+    return f"{values.shape} " + " ".join(map(repr, values.ravel().tolist()))
+
+
+def _array(label: str, values) -> Case:
+    """The line of a float array: the digest of its shape and bits, compared as ``_floats``."""
+    return _case(label, f"{values.shape} {values.tobytes().hex()}", {"": _floats(values)})
+
+
+def _tree(label: str, root: Path) -> list[Case]:
     return [
-        (f"{label}/{path.relative_to(root).as_posix()}", _sha(path.read_bytes()))
+        _case(f"{label}/{path.relative_to(root).as_posix()}", path.read_bytes())
         for path in sorted(root.rglob("*"))
         if path.is_file()
     ]
 
 
-def score_outputs() -> list[tuple[str, str]]:
+def score_outputs() -> list[Case]:
     import numpy as np
 
     from crcal import data, evaluate, report, synthetic
@@ -124,18 +168,18 @@ def score_outputs() -> list[tuple[str, str]]:
         for model, bundle in (("oracle", oracle), ("distorted", distorted)):
             rep = report.calibration_report(bundle, cohort)
             ev = evaluate.evaluate_bundle(cohort, bundle)
-            out.append((f"score/{pool}/{model}/report", _sha(json.dumps(rep.to_dict(), indent=2))))
-            out.append((f"score/{pool}/{model}/evaluation", _sha(json.dumps(ev.to_dict(), indent=2))))
+            out.append(_case(f"score/{pool}/{model}/report", json.dumps(rep.to_dict(), indent=2)))
+            out.append(_case(f"score/{pool}/{model}/evaluation", json.dumps(ev.to_dict(), indent=2)))
         if pool == 0:
             g = censoring_survival(cohort)
             for k in range(1, cohort.k_events + 1):
                 for tau in evaluate.default_horizons(cohort):
-                    value = evaluate.cr_c_index(cohort, distorted, k, tau, g)
-                    out.append((f"c_index/{k}/{tau!r}", _sha(float(value).hex())))
+                    value = float(evaluate.cr_c_index(cohort, distorted, k, tau, g))
+                    out.append(_case(f"c_index/{k}/{tau!r}", value.hex(), {"": repr(value)}))
     return out
 
 
-def cli_outputs(work: Path) -> list[tuple[str, str]]:
+def cli_outputs(work: Path) -> list[Case]:
     from crcal import cli
 
     def run(*argv: str) -> str:
@@ -162,7 +206,7 @@ def cli_outputs(work: Path) -> list[tuple[str, str]]:
         line = run("recalibrate", "--method", method, "--cal-cohort", str(test / "cohort.csv"),
                    "--cal-bundle", str(w / "aj_bundle.csv"), "--test-bundle", str(test / "oracle_bundle.csv"),
                    "--out", str(w / out))
-        printed.append((f"stdout/recalibrate_{method}", _sha(line)))
+        printed.append(_case(f"stdout/recalibrate_{method}", line))
     recal = str(w / "recal" / "recalibrated_bundle.csv")
     run("metrics", "--cohort", str(test / "cohort.csv"), "--bundle", recal, "--out", str(w / "metrics.json"))
     run("evaluate", "--cohort", str(test / "cohort.csv"), "--bundle", recal, "--out", str(w / "evaluation.json"))
@@ -174,7 +218,7 @@ def cli_outputs(work: Path) -> list[tuple[str, str]]:
     for method in ("aj", "ts"):
         line = run("recalibrate", "--method", method, "--cal-cohort", cohort, "--cal-bundle", bundle,
                    "--test-bundle", bundle, "--out", str(rep / f"recal_{method}"))
-        printed.append((f"edge/replicated_scored_bundle/stdout/recalibrate_{method}", _sha(line)))
+        printed.append(_case(f"edge/replicated_scored_bundle/stdout/recalibrate_{method}", line))
     return (_tree("bench", work / "bench") + _tree("bench/aj_model", work / "bench_aj") + _tree("files", w)
             + printed + _tree("edge/replicated_scored_bundle", rep))
 
@@ -240,7 +284,7 @@ def _write_csv(path: Path, lines: list[str]) -> Path:
     return path
 
 
-def error_outputs(work: Path) -> list[tuple[str, str]]:
+def error_outputs(work: Path) -> list[Case]:
     out = []
     for kind, faults in MALFORMED.items():
         for fault, lines in faults.items():
@@ -249,11 +293,11 @@ def error_outputs(work: Path) -> list[tuple[str, str]]:
                 _write_csv(work / f"{name}.csv", text)
             result = _exit(work, "metrics", "--cohort", work / "cohort.csv", "--bundle", work / "bundle.csv",
                            "--k-events", "1", "--out", work / "metrics.json")
-            out.append((f"error/{kind}/{fault}", _sha(result)))
+            out.append(_case(f"error/{kind}/{fault}", result))
     return out
 
 
-def edge_outputs(work: Path) -> list[tuple[str, str]]:
+def edge_outputs(work: Path) -> list[Case]:
     import numpy as np
 
     from crcal import data, recalibrate, synthetic
@@ -277,11 +321,11 @@ def edge_outputs(work: Path) -> list[tuple[str, str]]:
                                    "--out", work / "nan"),
         "record_on_two_lines": (*metrics, "--cohort", two_lines, "--out", work / "m.json"),
     }
-    out = [(f"edge/{name}", _sha(_exit(work, *argv))) for name, argv in runs.items()]
+    out = [_case(f"edge/{name}", _exit(work, *argv)) for name, argv in runs.items()]
 
     huge = work / "huge_grid"
     result = _exit(work, "simulate", "--n", "50", "--seed", "5", "--grid-size", str(10**15), "--out", huge)
-    out.append(("edge/huge_grid", _sha(result)))
+    out.append(_case("edge/huge_grid", result))
     if huge.is_dir():
         out += _tree("edge/huge_grid", huge)
 
@@ -292,10 +336,9 @@ def edge_outputs(work: Path) -> list[tuple[str, str]]:
         grid = data.TimeGrid(np.array([1.0, 2.0]))
         texts = [text, data.bundle_to_csv(data.CifBundle(grid, np.full((3, 1, 2), 0.5), again.ids))]
         texts.append(repr(data.parse_bundle(texts[1], 1).sample_ids))
-        digest = _sha("".join(texts))
+        out.append(_case("edge/quoted_ids", "".join(texts)))
     except Exception as exc:
-        digest = f"raised {type(exc).__name__}"
-    out.append(("edge/quoted_ids", digest))
+        out.append(_raised("edge/quoted_ids", exc))
 
     # line ends: CRLF files, a CR inside a quoted id, bare CR line ends, and a
     # short row followed by a long one, whose fields add up to two rows
@@ -319,12 +362,13 @@ def edge_outputs(work: Path) -> list[tuple[str, str]]:
     }
     for name, argv in runs.items():
         written = work / f"{name}.out"
-        result = _exit(work, *argv, written).encode() + (written.read_bytes() if written.is_file() else b"")
-        out.append((f"edge/{name}", _sha(result)))
+        result, left = _exit(work, *argv, written), written.read_bytes() if written.is_file() else b""
+        parts = {"": result, written.name: left.decode("utf-8", "replace")} if left else None
+        out.append(_case(f"edge/{name}", result.encode() + left, parts))
 
     _, latents = synthetic.generate_cohort(synthetic.WeibullConfig(), 5, 6)
     surv = synthetic.oracle_survival(latents, np.linspace(0.2, 1.0, 5))
-    out.append(("edge/oracle_survival", _sha(f"{surv.shape} {surv.tobytes().hex()}")))
+    out.append(_array("edge/oracle_survival", surv))
 
     # 37 samples leave a partial row block; each reads at 0, in its head
     # piece (which ends at a quarter of its smallest scale), in its body, and
@@ -333,19 +377,20 @@ def edge_outputs(work: Path) -> list[tuple[str, str]]:
     lams, _ = synthetic.latent_arrays(latents)
     steps = np.array([0.0, 0.01, 0.1, 0.24, 0.5, 1.0, 2.0, 10.0, 1e6])
     vals = synthetic.oracle_values(latents, lams.min(axis=1)[:, None] * steps)
-    out.append(("edge/oracle_per_sample", _sha(f"{vals.shape} {vals.tobytes().hex()}")))
+    out.append(_array("edge/oracle_per_sample", vals))
 
     # a blank line far into a plain bundle: the rows before it are read as
     # plain text, the rest by csv; the faulty copy has a bad value before the
     # blank line and a short row after it, and the bad value must be named
-    def parsed(lines: list[str]) -> bytes:
+    def parsed(lines: list[str]) -> tuple[bytes, str]:
         try:
             bundle = data.parse_bundle("\n".join(lines), 3)
         except ValidationError as exc:
-            return str(exc).encode()
+            return str(exc).encode(), str(exc)
         except Exception as exc:
-            return f"raised {type(exc).__name__}".encode()
-        return repr(bundle.sample_ids).encode() + bundle.grid.times.tobytes() + bundle.values.tobytes()
+            return f"raised {type(exc).__name__}".encode(), f"raised {type(exc).__name__}"
+        ids, times, values = repr(bundle.sample_ids), bundle.grid.times, bundle.values
+        return ids.encode() + times.tobytes() + values.tobytes(), f"{ids}\n{_floats(times)}\n{_floats(values)}"
 
     rng = np.random.default_rng(8)
     values = np.sort(rng.uniform(0.01, 0.33, (150, 3, 65)), axis=2)
@@ -353,12 +398,13 @@ def edge_outputs(work: Path) -> list[tuple[str, str]]:
     text = data.bundle_to_csv(data.CifBundle(grid, values, tuple(f"s{i}" for i in range(150))))
     cut = text.index("\n", 100_000) + 1
     lines = (text[:cut] + "\n" + text[cut:]).split("\n")
-    late = parsed(lines)
+    clean = parsed(lines)
     blank = lines.index("")
     lines[3] = lines[3].rsplit(",", 1)[0] + ",low"
     lines[blank + 1] = lines[blank + 1].rsplit(",", 1)[0]
-    late += b"\n" + parsed(lines)
-    out.append(("edge/late_irregular_bundle", _sha(late)))
+    faulty = parsed(lines)
+    out.append(_case("edge/late_irregular_bundle", clean[0] + b"\n" + faulty[0],
+                     {"clean": clean[1], "faulty": faulty[1]}))
 
     cohort, latents = synthetic.generate_cohort(synthetic.WeibullConfig(), 1200, 9)
     grid = synthetic.oracle_grid(cohort, latents, 64)
@@ -366,26 +412,27 @@ def edge_outputs(work: Path) -> list[tuple[str, str]]:
     try:
         rmap = recalibrate.fit_temperature(cohort, distorted, grid)
         applied = recalibrate.apply_temperature(distorted, rmap)
-        digest = _sha(f"{grid.d} {applied.repairs} ".encode() + rmap.temperatures.tobytes() + applied.values.tobytes())
+        head, betas, values = f"{grid.d} {applied.repairs} ", rmap.temperatures, applied.values
+        out.append(_case("edge/ts_split", head.encode() + betas.tobytes() + values.tobytes(),
+                         {"": head, "temperatures": _floats(betas), "values": _floats(values)}))
     except Exception as exc:
-        digest = f"raised {type(exc).__name__}"
-    out.append(("edge/ts_split", digest))
+        out.append(_raised("edge/ts_split", exc))
     return out + bad_input_outputs(work) + cli_edge_outputs(work)
 
 
-def _outcome(call) -> str:
-    """The digest of what ``call()`` returns, or ``raised <ExceptionType>``."""
+def _outcome(label: str, call) -> Case:
+    """The line of what ``call()`` returns, or of the exception it raised."""
     import numpy as np
 
     try:
         with np.errstate(all="ignore"):
             value = np.asarray(call(), dtype=float)
     except Exception as exc:
-        return f"raised {type(exc).__name__}"
-    return _sha(f"{value.shape} {value.tobytes().hex()}")
+        return _raised(label, exc)
+    return _array(label, value)
 
 
-def bad_input_outputs(work: Path) -> list[tuple[str, str]]:
+def bad_input_outputs(work: Path) -> list[Case]:
     import numpy as np
 
     from crcal import calibration, evaluate, synthetic
@@ -418,12 +465,12 @@ def bad_input_outputs(work: Path) -> list[tuple[str, str]]:
     }
     for eps in (0.0, 1.0, 2.0, -1.0):
         calls[f"survival_horizon_eps_{eps!r}"] = lambda eps=eps: synthetic.survival_horizon(latents[:200], eps)
-    out = [(f"edge/bad_inputs/{name}", _outcome(call)) for name, call in calls.items()]
+    out = [_outcome(f"edge/bad_inputs/{name}", call) for name, call in calls.items()]
 
     config = work / "nan_fractions.json"
     config.write_text('{"n": 300, "fractions": [NaN, 0.5, 0.5]}')
     result = _exit(work, "bench", "--config", config, "--seeds", "1", "--out", work / "nan_fractions")
-    out.append(("edge/bad_inputs/bench_nan_fractions", _sha(result)))
+    out.append(_case("edge/bad_inputs/bench_nan_fractions", result))
     return out
 
 
@@ -453,7 +500,7 @@ def _fourth_call_fails(call):
     return wrapped
 
 
-def cli_edge_outputs(work: Path) -> list[tuple[str, str]]:
+def cli_edge_outputs(work: Path) -> list[Case]:
     from crcal import cli
 
     cohort = _write_csv(work / "cli_cohort.csv", COHORT)
@@ -481,6 +528,10 @@ def cli_edge_outputs(work: Path) -> list[tuple[str, str]]:
                                             "--replicate-for", cohort),
         "aj_bundle_out_without_replicate": ("aj", "--k-events", "1", "--cohort", cohort, "--out", "out",
                                             "--bundle-out", "out.json"),
+        "aj_replicate_for_empty": ("aj", "--k-events", "1", "--cohort", cohort, "--out", "out",
+                                   "--replicate-for", ""),
+        "aj_replicate_for_empty_with_bundle_out": ("aj", "--k-events", "1", "--cohort", cohort, "--out", "out",
+                                                   "--replicate-for", "", "--bundle-out", "out.json"),
         "bench_level_two": ("bench", "--config", work / "bench_level_two.json", "--seeds", "1", "--out", "out"),
         "bench_unknown_model": ("bench", "--config", work / "bench_unknown_model.json", "--seeds", "1",
                                 "--out", "out"),
@@ -509,23 +560,113 @@ def cli_edge_outputs(work: Path) -> list[tuple[str, str]]:
                  if name == "bench_second_seed_numeric" else contextlib.nullcontext())
         with _inside(case), fault:
             result = _exit(work, *(case / a if a in ("out", "out.json") else a for a in argv))
-        left = "".join(f"{label} {digest}\n" for label, digest in _tree(name, case))
-        out.append((f"edge/cli/{name}", _sha(result + left)))
+        left = _tree(name, case)
+        listing = "".join(f"{label} {digest}\n" for label, digest, _ in left)
+        out.append(_case(f"edge/cli/{name}", result + listing, {"": result, **{f: p[""] for f, _, p in left}}))
     return out
 
 
-def main(argv: list[str]) -> int:
-    root = Path(argv[0]).resolve() if argv else Path(__file__).resolve().parents[1]
-    src = root / "src"
-    if not (src / "crcal" / "__init__.py").is_file():
-        print(f"no crcal sources under {src}", file=sys.stderr)
-        return 2
-    sys.path.insert(0, str(src))
+def collect(root: Path) -> list[Case]:
+    """Every case of the checkout ``root``: its label, digest and parts."""
+    sys.path.insert(0, str(root / "src"))
     with tempfile.TemporaryDirectory() as tmp:
-        lines = score_outputs() + cli_outputs(Path(tmp)) + error_outputs(Path(tmp)) + edge_outputs(Path(tmp))
-    for label, digest in lines:
-        print(label, digest)
-    return 0
+        return score_outputs() + cli_outputs(Path(tmp)) + error_outputs(Path(tmp)) + edge_outputs(Path(tmp))
+
+
+# a decimal number, or the words Python and JSON write for a NaN or an infinity
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf|NaN|Infinity)\b")
+
+
+def _moves(before: str, after: str) -> str:
+    """How a part's text moved: its count of moved numbers (of different bits) with their
+    largest relative and absolute move, and whether the text around them moved."""
+    old, new = _NUMBER.findall(before), _NUMBER.findall(after)
+    text = _NUMBER.sub("#", before) != _NUMBER.sub("#", after)
+    if len(old) != len(new):
+        return f"{len(old)} numbers before, {len(new)} after; text moved"
+    pairs = [(float(x), float(y)) for x, y in zip(old, new) if x != y]
+    moved = [(x, y) for x, y in pairs if struct.pack("<d", x) != struct.pack("<d", y)]
+    text = text or len(moved) < len(pairs)  # "1.0" for "1", say
+    absolute = relative = 0.0
+    for x, y in moved:
+        d = abs(x - y)
+        d = math.inf if math.isnan(d) else d  # a NaN, or infinities of opposite signs
+        absolute = max(absolute, d)
+        relative = max(relative, d / max(abs(x), abs(y)) if math.isfinite(d) and d else d)
+    line = f"{len(moved)} of {len(old)} numbers moved"
+    if moved:
+        line += f", largest relative {relative:.3g}, absolute {absolute:.3g}"
+    return line + ("; text moved" if text else "")
+
+
+def _keys(value, path: str = "") -> set[str]:
+    """The dotted key paths of a JSON value, ``[]`` standing for any item of a list."""
+    if isinstance(value, dict):
+        return {key for k, v in value.items() for key in {f"{path}.{k}".lstrip(".")} | _keys(v, f"{path}.{k}")}
+    if isinstance(value, list):
+        return {key for v in value for key in _keys(v, f"{path}[]")}
+    return set()
+
+
+def _json(text: str):
+    """The JSON object or array ``text`` holds, else None."""
+    try:
+        value = json.loads(text)
+    except ValueError:
+        return None
+    return value if isinstance(value, (dict, list)) else None
+
+
+def diff(before: list[Case], after: list[Case]) -> int:
+    """Print each case that moved from ``before`` to ``after`` and how; 1 when a JSON key set changed."""
+    old = {label: (digest, parts) for label, digest, parts in before}
+    new = {label: (digest, parts) for label, digest, parts in after}
+    moved, keys_changed = 0, False
+    for label in [*new, *(label for label in old if label not in new)]:
+        if label not in old or label not in new:
+            print(f"{'added' if label in new else 'removed'} {label}")
+            continue
+        (digest, parts), (old_digest, old_parts) = new[label], old[label]
+        if digest == old_digest:
+            continue
+        moved += 1
+        print(f"moved {label}")
+        for name in sorted(parts.keys() | old_parts.keys()):
+            a, b = old_parts.get(name), parts.get(name)
+            if a == b:
+                continue
+            shown = name or "(output)"
+            if a is None or b is None:
+                print(f"  {shown}: only {'after' if a is None else 'before'}")
+                continue
+            print(f"  {shown}: {_moves(a, b)}")
+            ja, jb = _json(a), _json(b)
+            if ja is not None and jb is not None and _keys(ja) != _keys(jb):
+                keys_changed = True
+                print(f"    keys added {sorted(_keys(jb) - _keys(ja))}, removed {sorted(_keys(ja) - _keys(jb))}")
+    print(f"{moved} of {len(new)} cases moved" + ("; a JSON key set changed" if keys_changed else ""))
+    return int(keys_changed)
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description="Digest crcal's outputs, or diff them against another tree.")
+    parser.add_argument("root", nargs="?", type=Path, default=Path(__file__).resolve().parents[1])
+    parser.add_argument("--against", type=Path, help="a checkout to diff ROOT's outputs against")
+    args = parser.parse_args(argv)
+    trees = [args.root.resolve()] + ([] if args.against is None else [args.against.resolve()])
+    for tree in trees:
+        if not (tree / "src" / "crcal" / "__init__.py").is_file():
+            print(f"no crcal sources under {tree / 'src'}", file=sys.stderr)
+            return 2
+    if args.against is None:
+        for label, digest, _ in collect(trees[0]):
+            print(label, digest)
+        return 0
+    # each tree in a fresh interpreter of its own, as one process can import only one crcal
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(1, mp_context=spawn) as here, ProcessPoolExecutor(1, mp_context=spawn) as there:
+        after, before = here.submit(collect, trees[0]), there.submit(collect, trees[1])
+        return diff(before.result(), after.result())
 
 
 if __name__ == "__main__":
